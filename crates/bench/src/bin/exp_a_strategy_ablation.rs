@@ -1,5 +1,6 @@
 //! **Ablation A-strategy** — why the ideal tree decomposition matters
-//! (the design choice DESIGN.md calls out): run the full tree-network
+//! (Lemma 4.1's `⟨2 log n, 2⟩` decomposition, `crates/decomp`; see the
+//! README's workspace layout): run the full tree-network
 //! scheduler with each of the three decompositions and observe the
 //! trade-off the paper describes in Section 4:
 //!

@@ -26,7 +26,9 @@
 //! Writes `BENCH_dist_loss.json`. Flags (shared via
 //! `treenet_bench::DistArgs`): `--smoke` runs the reduced grid,
 //! `--scenarios a,b` filters by name, `--out <path>` picks the output
-//! file, `--baseline <path>` enables the p=0 budget cross-check.
+//! file, `--baseline <path>` enables the p=0 budget cross-check,
+//! `--threads <k>` runs the engine's sharded executor on `k` threads
+//! (default 1; every row is bit-identical at any `k`).
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -156,11 +158,17 @@ fn problem_for(s: &Scenario) -> Problem {
     }
 }
 
-fn run_once(s: &Scenario, problem: &Problem, loss: Option<LossModel>) -> (Solution, u64, Metrics) {
+fn run_once(
+    s: &Scenario,
+    problem: &Problem,
+    loss: Option<LossModel>,
+    threads: usize,
+) -> (Solution, u64, Metrics) {
     let config = DistConfig {
         epsilon: 0.3,
         seed: 0x7ee5,
         loss,
+        threads,
         ..DistConfig::default()
     };
     match s.runner {
@@ -265,6 +273,7 @@ fn main() {
         .out
         .clone()
         .unwrap_or_else(|| "BENCH_dist_loss.json".to_string());
+    let threads = args.threads.unwrap_or(1);
 
     let scenarios: Vec<&Scenario> = GRID
         .iter()
@@ -308,11 +317,15 @@ fn main() {
     for s in &scenarios {
         let problem = problem_for(s);
         // The lossless reference every p-row must reproduce exactly.
-        let (ref_solution, ref_lambda, ref_metrics) = run_once(s, &problem, None);
+        let (ref_solution, ref_lambda, ref_metrics) = run_once(s, &problem, None, threads);
 
         for &p in &LOSS_RATES {
-            let (solution, lambda, metrics) =
-                run_once(s, &problem, Some(LossModel::bernoulli(p, LOSS_SEED)));
+            let (solution, lambda, metrics) = run_once(
+                s,
+                &problem,
+                Some(LossModel::bernoulli(p, LOSS_SEED)),
+                threads,
+            );
             if solution != ref_solution {
                 failures.push(format!("{} p={p}: solution diverged", s.name));
             }

@@ -4,8 +4,9 @@
 //! approximation-ratio statements (the implicit comparison table of
 //! Section 1) and the round-complexity bounds of Theorems 5.3/6.3/7.1/7.2
 //! and Lemmas 4.1/4.3/5.1. Each claim maps to one binary in `src/bin`
-//! (see DESIGN.md's experiment index and EXPERIMENTS.md for the recorded
-//! paper-vs-measured outcomes):
+//! (the README's Experiments section shows how to run them;
+//! `docs/BENCHMARKS.md` documents the committed `BENCH_*.json` baselines
+//! four of them write and the CI gates on those):
 //!
 //! | binary | claim |
 //! |---|---|
@@ -21,9 +22,15 @@
 //! | `exp_f_mis_rounds` | Luby `Time(MIS) = O(log N)` |
 //! | `exp_f_dist_equiv` | message-passing ≡ logical; `O(M)`-bit messages |
 //! | `exp_f_dist_line_equiv` | message-passing ≡ logical on lines (Thms 7.1/7.2); `O(M)`-bit messages, exact setup/compute/control round relation |
+//! | `exp_f_dist_messages` | message count and traffic vs processors; the maximum message stays `O(M)` bits |
 //! | `exp_f_dist_budget` | round/message budgets of the in-network runners; CI regression gate vs `BENCH_dist_rounds.json` |
+//! | `exp_f_dist_loss` | lossy links are invisible to the protocol; round/message overhead of the reliable layer; writes `BENCH_dist_loss.json` |
 //! | `exp_f_seq_ratio` | sequential 3- and 2-approximations (Appendix A) |
 //! | `exp_perf_phase1` | incremental phase-1 engine vs from-scratch reference; writes `BENCH_phase1.json` |
+//! | `exp_serve_throughput` | warm per-delta re-solve of `treenet serve` vs a cold solve; writes `BENCH_serve.json` |
+//! | `exp_a_strategy_ablation` | ablation: root-fixing vs balancing vs ideal decomposition (Sec. 4 trade-off) |
+//! | `exp_a_stage_ablation` | ablation: multi-stage (`λ = 1-ε`) vs single-stage PS schedule on the same decomposition |
+//! | `exp_a_mis_backend` | ablation: Luby vs deterministic MIS inside the full scheduler |
 //!
 //! Running `cargo run --release -p treenet-bench --bin <name>` prints a
 //! markdown table; `EXP_SCALE=small|full` adjusts sizes (default small).
@@ -43,7 +50,7 @@ pub use report::Table;
 pub enum Scale {
     /// Fast smoke-scale runs (CI-friendly, default).
     Small,
-    /// The full sweeps recorded in EXPERIMENTS.md.
+    /// The full sweeps (`EXP_SCALE=full`).
     Full,
 }
 

@@ -66,7 +66,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::framework::{
-    run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, Outcome, RaiseRule,
+    run_two_phase, run_two_phase_reference, FrameworkConfig, FrameworkError, RaiseRule,
 };
 use crate::solvers::{combine_by_network, narrow_xi, unit_xi, SolverConfig};
 use treenet_decomp::{
@@ -781,34 +781,6 @@ impl DeltaEngine {
             }
         }
     }
-
-    /// The unit-mode from-scratch oracle, exposing the full framework
-    /// [`Outcome`] (duals, stats, stack). Prefer
-    /// [`DeltaEngine::reference_solve`], which also serves capacitated
-    /// mode.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameworkError::BadParameters`] in capacitated mode (a single
-    /// `Outcome` cannot represent the wide/narrow pair), else propagates
-    /// [`FrameworkError`] from the run.
-    pub fn resolve_reference(&self) -> Result<Outcome, FrameworkError> {
-        if let Mode::Capacitated { .. } = self.mode {
-            return Err(FrameworkError::BadParameters {
-                reason: "capacitated mode has no single reference Outcome; \
-                         use reference_solve"
-                    .into(),
-            });
-        }
-        let live = self.problem.live_instances();
-        run_two_phase_reference(
-            &self.problem,
-            &self.layers,
-            RaiseRule::Unit,
-            &self.config,
-            &live,
-        )
-    }
 }
 
 /// Splits participant instances into (wide, narrow) by their demand's
@@ -1044,17 +1016,6 @@ mod tests {
             DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.0)),
             Err(DeltaEngineError::BadHmin { .. })
         ));
-    }
-
-    #[test]
-    fn capacitated_mode_has_no_single_reference_outcome() {
-        let p = capacitated_problem(0);
-        let e = DeltaEngine::new(p, &SolverConfig::default().with_hmin(0.2)).unwrap();
-        assert!(matches!(
-            e.resolve_reference(),
-            Err(FrameworkError::BadParameters { .. })
-        ));
-        assert!(e.reference_solve().is_ok());
     }
 
     #[test]

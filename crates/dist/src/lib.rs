@@ -135,7 +135,7 @@ use treenet_decomp::{line_lmin, ConvergecastForest, LayeredDecomposition, Strate
 use treenet_graph::{RootedTree, VertexId};
 use treenet_mis::MisBackend;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution};
-use treenet_netsim::{Engine, LossModel, Metrics, ShardPlan, Topology};
+use treenet_netsim::{Engine, LossModel, Metrics, Topology};
 
 pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag};
 pub use reference::{
@@ -206,7 +206,7 @@ pub struct DistConfig {
     pub sweep_interval_log2: u32,
     /// Worker threads for the engine's sharded round executor. Nodes are
     /// partitioned into at most this many shards of whole connected
-    /// components ([`ConvergecastForest::partition`]), so every run is
+    /// components ([`Engine::with_threads`]), so every run is
     /// bit-identical — schedules, λ, `Metrics` — at any thread count;
     /// `1` keeps the single-threaded executor.
     pub threads: usize,
@@ -569,16 +569,10 @@ pub(crate) fn build_engine(
     problem: &Problem,
     config: &DistConfig,
 ) -> Engine<ProcessorNode> {
-    let adjacency = comm_adjacency(problem);
-    let shards = (config.threads > 1).then(|| {
-        let forest = ConvergecastForest::from_adjacency(&adjacency);
-        ShardPlan::from_groups(adjacency.len(), forest.partition(config.threads))
-    });
-    let topology = Topology::from_adjacency(adjacency);
-    let mut engine = Engine::new(nodes, topology).with_arq_window(config.arq_window);
-    if let Some(plan) = shards {
-        engine = engine.with_shards(plan);
-    }
+    let topology = Topology::from_adjacency(comm_adjacency(problem));
+    let mut engine = Engine::new(nodes, topology)
+        .with_threads(config.threads)
+        .with_arq_window(config.arq_window);
     if let Some(seed) = config.shuffle_delivery {
         engine = engine.with_delivery_shuffle(seed);
     }

@@ -559,11 +559,7 @@ impl<M: Clone + MessageSize> Reliable<M> {
             return false;
         }
         link.recv_ahead.push(seq);
-        metrics.messages += 1;
-        metrics.bits += bits;
-        metrics.max_message_bits = metrics.max_message_bits.max(bits);
-        metrics.by_class[class].messages += 1;
-        metrics.by_class[class].bits += bits;
+        metrics.count_delivery(bits, class);
         staging[to].push((from, seq, msg));
         true
     }
