@@ -23,25 +23,24 @@
 //! `dist-loss/v2`), so the committed numbers are reproducible knob for
 //! knob.
 //!
+//! The grid is every non-huge scenario of `treenet_bench::dist_grid`,
+//! the one `exp_f_dist_budget` runs, so `--baseline` can match rows of
+//! `BENCH_dist_rounds.json` by name.
+//!
 //! Writes `BENCH_dist_loss.json`. Flags (shared via
 //! `treenet_bench::DistArgs`): `--smoke` runs the reduced grid,
 //! `--scenarios a,b` filters by name, `--out <path>` picks the output
 //! file, `--baseline <path>` enables the p=0 budget cross-check,
 //! `--threads <k>` runs the engine's sharded executor on `k` threads
-//! (default 1; every row is bit-identical at any `k`).
+//! (default 1; every row is bit-identical at any `k`), `--shuffle
+//! <seed>` turns on adversarial delivery shuffling.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use treenet_bench::dist_grid::{self, config, problem_for, run, Scenario, GRID};
 use treenet_bench::{DistArgs, Table};
 use treenet_core::retransmit_round_bound;
-use treenet_dist::{
-    run_distributed_auto, run_distributed_line_arbitrary, run_distributed_line_unit,
-    run_distributed_tree_arbitrary, run_distributed_tree_unit, DistAutoRun, DistConfig,
-};
-use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
-use treenet_model::{Problem, Solution};
-use treenet_netsim::{LossModel, Metrics, DEFAULT_ARQ_WINDOW};
+use treenet_dist::DistConfig;
+use treenet_netsim::{LossModel, DEFAULT_ARQ_WINDOW};
 
 /// Schema tag checked on read-back (bump on layout changes).
 const SCHEMA: &str = "treenet-bench/dist-loss/v2";
@@ -52,152 +51,6 @@ const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.2];
 
 /// Seed of the loss RNG stream (independent of the protocol seed).
 const LOSS_SEED: u64 = 0x10ff;
-
-#[derive(Copy, Clone, Debug)]
-enum Runner {
-    TreeUnit,
-    TreeArbitrary,
-    LineUnit,
-    LineArbitrary,
-    Auto,
-}
-
-struct Scenario {
-    name: &'static str,
-    runner: Runner,
-    smoke: bool,
-}
-
-/// The same deterministic scenarios (names, workloads, protocol config)
-/// as `exp_f_dist_budget`, so the `--baseline` cross-check can match
-/// rows of the committed `BENCH_dist_rounds.json` by name.
-const GRID: &[Scenario] = &[
-    Scenario {
-        name: "tree-unit-10x8",
-        runner: Runner::TreeUnit,
-        smoke: true,
-    },
-    Scenario {
-        name: "tree-arbitrary-10x8",
-        runner: Runner::TreeArbitrary,
-        smoke: true,
-    },
-    Scenario {
-        name: "line-unit-30x12",
-        runner: Runner::LineUnit,
-        smoke: true,
-    },
-    Scenario {
-        name: "line-arbitrary-30x12",
-        runner: Runner::LineArbitrary,
-        smoke: true,
-    },
-    Scenario {
-        name: "auto-mixed-24x10",
-        runner: Runner::Auto,
-        smoke: true,
-    },
-    Scenario {
-        name: "line-unit-48x24",
-        runner: Runner::LineUnit,
-        smoke: false,
-    },
-    Scenario {
-        name: "line-arbitrary-48x24",
-        runner: Runner::LineArbitrary,
-        smoke: false,
-    },
-];
-
-fn problem_for(s: &Scenario) -> Problem {
-    let mut rng = SmallRng::seed_from_u64(0xd157_b0d6);
-    match s.name {
-        "tree-unit-10x8" => TreeWorkload::new(10, 8)
-            .with_networks(2)
-            .with_profit_ratio(4.0)
-            .generate(&mut rng),
-        "tree-arbitrary-10x8" => TreeWorkload::new(10, 8)
-            .with_networks(2)
-            .with_heights(HeightMode::Bimodal {
-                narrow_frac: 0.5,
-                hmin: 0.25,
-            })
-            .generate(&mut rng),
-        "line-unit-30x12" => LineWorkload::new(30, 12)
-            .with_resources(2)
-            .with_window_slack(2)
-            .with_len_range(1, 8)
-            .generate(&mut rng),
-        "line-arbitrary-30x12" => LineWorkload::new(30, 12)
-            .with_resources(2)
-            .with_window_slack(2)
-            .with_len_range(1, 8)
-            .with_heights(HeightMode::Bimodal {
-                narrow_frac: 0.5,
-                hmin: 0.2,
-            })
-            .generate(&mut rng),
-        "auto-mixed-24x10" => LineWorkload::new(24, 10)
-            .with_heights(HeightMode::Uniform { hmin: 0.25 })
-            .generate(&mut rng),
-        "line-unit-48x24" => LineWorkload::new(48, 24)
-            .with_resources(2)
-            .with_window_slack(2)
-            .with_len_range(1, 8)
-            .generate(&mut rng),
-        "line-arbitrary-48x24" => LineWorkload::new(48, 24)
-            .with_resources(2)
-            .with_window_slack(2)
-            .with_len_range(1, 8)
-            .with_heights(HeightMode::Bimodal {
-                narrow_frac: 0.5,
-                hmin: 0.2,
-            })
-            .generate(&mut rng),
-        other => unreachable!("unknown scenario {other}"),
-    }
-}
-
-fn run_once(
-    s: &Scenario,
-    problem: &Problem,
-    loss: Option<LossModel>,
-    threads: usize,
-) -> (Solution, u64, Metrics) {
-    let config = DistConfig {
-        epsilon: 0.3,
-        seed: 0x7ee5,
-        loss,
-        threads,
-        ..DistConfig::default()
-    };
-    match s.runner {
-        Runner::TreeUnit => {
-            let out = run_distributed_tree_unit(problem, &config).unwrap();
-            (out.solution, out.lambda.to_bits(), out.metrics)
-        }
-        Runner::TreeArbitrary => {
-            let out = run_distributed_tree_arbitrary(problem, &config).unwrap();
-            (out.solution.clone(), out.lambda().to_bits(), out.metrics)
-        }
-        Runner::LineUnit => {
-            let out = run_distributed_line_unit(problem, &config).unwrap();
-            (out.solution, out.lambda.to_bits(), out.metrics)
-        }
-        Runner::LineArbitrary => {
-            let out = run_distributed_line_arbitrary(problem, &config).unwrap();
-            (out.solution.clone(), out.lambda().to_bits(), out.metrics)
-        }
-        Runner::Auto => {
-            let out = run_distributed_auto(problem, &config).unwrap();
-            let metrics = match &out.run {
-                DistAutoRun::Single(run) => run.metrics,
-                DistAutoRun::Split(run) => run.metrics,
-            };
-            (out.solution, out.lambda.to_bits(), metrics)
-        }
-    }
-}
 
 /// One (scenario, p) measurement as persisted to `BENCH_dist_loss.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -273,11 +126,10 @@ fn main() {
         .out
         .clone()
         .unwrap_or_else(|| "BENCH_dist_loss.json".to_string());
-    let threads = args.threads.unwrap_or(1);
 
     let scenarios: Vec<&Scenario> = GRID
         .iter()
-        .filter(|s| (!args.smoke || s.smoke) && args.selects(s.name))
+        .filter(|s| !s.huge && (!args.smoke || s.smoke) && args.selects(s.name))
         .collect();
     assert!(
         !scenarios.is_empty(),
@@ -290,7 +142,8 @@ fn main() {
         let b: BudgetBaseline = serde_json::from_str(&text)
             .unwrap_or_else(|e| panic!("malformed baseline {path}: {e}"));
         assert_eq!(
-            b.schema, "treenet-bench/dist-budget/v2",
+            b.schema,
+            dist_grid::SCHEMA,
             "--baseline expects the budget-gate baseline"
         );
         b
@@ -314,23 +167,31 @@ fn main() {
     let mut rows = Vec::new();
     let mut failures: Vec<String> = Vec::new();
 
+    let lossless_config = config(&args);
     for s in &scenarios {
         let problem = problem_for(s);
         // The lossless reference every p-row must reproduce exactly.
-        let (ref_solution, ref_lambda, ref_metrics) = run_once(s, &problem, None, threads);
+        let lossless = run(s, &problem, &lossless_config);
+        let ref_metrics = lossless.metrics;
 
         for &p in &LOSS_RATES {
-            let (solution, lambda, metrics) = run_once(
+            let lossy = run(
                 s,
                 &problem,
-                Some(LossModel::bernoulli(p, LOSS_SEED)),
-                threads,
+                &DistConfig {
+                    loss: Some(LossModel::bernoulli(p, LOSS_SEED)),
+                    ..lossless_config.clone()
+                },
             );
-            if solution != ref_solution {
+            let metrics = lossy.metrics;
+            if lossy.solution != lossless.solution {
                 failures.push(format!("{} p={p}: solution diverged", s.name));
             }
-            if lambda != ref_lambda {
+            if lossy.lambda_bits != lossless.lambda_bits {
                 failures.push(format!("{} p={p}: λ bits diverged", s.name));
+            }
+            if lossy.schedules != lossless.schedules {
+                failures.push(format!("{} p={p}: schedules diverged", s.name));
             }
             if (metrics.messages, metrics.bits) != (ref_metrics.messages, ref_metrics.bits) {
                 failures.push(format!(

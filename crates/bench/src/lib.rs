@@ -20,10 +20,7 @@
 //! | `exp_f_vs_ps_profit` | realized-profit comparison vs PS on identical inputs |
 //! | `exp_f_narrow_wide` | the (80+ε) combiner; rounds ∝ `1/hmin` (Thm 6.3) |
 //! | `exp_f_mis_rounds` | Luby `Time(MIS) = O(log N)` |
-//! | `exp_f_dist_equiv` | message-passing ≡ logical; `O(M)`-bit messages |
-//! | `exp_f_dist_line_equiv` | message-passing ≡ logical on lines (Thms 7.1/7.2); `O(M)`-bit messages, exact setup/compute/control round relation |
-//! | `exp_f_dist_messages` | message count and traffic vs processors; the maximum message stays `O(M)` bits |
-//! | `exp_f_dist_budget` | round/message budgets of the in-network runners; CI regression gate vs `BENCH_dist_rounds.json` |
+//! | `exp_f_dist_budget` | message-passing ≡ logical (Sec. 5, Thms 7.1/7.2), bit-identical at any thread count; `O(M)`-bit messages; exact setup/compute/control round relation; round/message budgets, CI regression gate vs `BENCH_dist_rounds.json` |
 //! | `exp_f_dist_loss` | lossy links are invisible to the protocol; round/message overhead of the reliable layer; writes `BENCH_dist_loss.json` |
 //! | `exp_f_seq_ratio` | sequential 3- and 2-approximations (Appendix A) |
 //! | `exp_perf_phase1` | incremental phase-1 engine vs from-scratch reference; writes `BENCH_phase1.json` |
@@ -39,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod cli;
+pub mod dist_grid;
 pub mod report;
 pub mod stats;
 
