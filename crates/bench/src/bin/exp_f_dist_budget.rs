@@ -2,8 +2,10 @@
 //! gate for the message-passing schedulers: runs every distributed
 //! runner (in-network control plane) over a fixed, fully deterministic
 //! scenario grid, records engine rounds / messages / bits / max message
-//! size plus the serial reference rounds (the wall-clock win of the
-//! merged wide/narrow execution), and writes `BENCH_dist_rounds.json`.
+//! size plus the serial rounds — what running the halves one engine pass
+//! after the other would take, derived from the logical twin (the
+//! wall-clock win of the merged wide/narrow execution) — and writes
+//! `BENCH_dist_rounds.json`.
 //!
 //! With `--baseline <path>` the bin compares against a committed
 //! baseline and **exits non-zero** when
@@ -17,9 +19,12 @@
 //! recorded run of any scenario
 //!
 //! * differs from its logical twin (`solve_tree_unit`,
-//!   `solve_tree_arbitrary`, `solve_line_unit`, `solve_line_arbitrary`
-//!   or `solve_auto` under the same `ε` and seed): the solution, and λ
-//!   `to_bits()`-exact per wide/narrow half (overall λ for `auto`);
+//!   `solve_tree_arbitrary`, `solve_line_unit`, `solve_line_arbitrary`,
+//!   or for `auto` the one `auto_choice` dispatches to, under the same
+//!   `ε` and seed): the solution, and per wide/narrow half λ
+//!   `to_bits()`-exact and the schedule — `steps` equal to the logical
+//!   stack mapped through `StepRecord::from` (Luby iterations included)
+//!   and `pops` equal to the stack length;
 //! * breaks the exact engine-round relation: solo runs take
 //!   `engine_rounds() + 1` rounds, merged splits
 //!   `max(wide, narrow) + 1 + COMBINE_ROUNDS`;
@@ -28,10 +33,11 @@
 //!   (that rerun's wall clock is recorded as `wall_ms_1t`/`speedup`).
 //!
 //! The flagship mixed scenario (`auto-mixed-24x10`) must also keep its
-//! engine rounds within [`CONTROL_CEILING`]× of the driver-counted
-//! serial reference — the amortized control plane's headline claim,
-//! enforced on the PR smoke lane where the committed baseline is not
-//! regenerated.
+//! engine rounds within [`CONTROL_CEILING`]× of its serial rounds — the
+//! amortized control plane's headline claim, enforced on the PR smoke
+//! lane where the committed baseline is not regenerated. Every failure,
+//! this ceiling and the huge-grid scale gate included, is reported only
+//! after the JSON report is written.
 //!
 //! The `O(M)` check is two-sided and registry-driven: the static bit
 //! table in `crates/lint/protocol_registry.toml` (the same file
@@ -53,14 +59,10 @@ use treenet_bench::dist_grid::{
 };
 use treenet_bench::{DistArgs, Table};
 use treenet_core::{
-    solve_auto, solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit,
-    CombinedOutcome, Outcome, SolverConfig,
+    auto_choice, solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit,
+    AutoChoice, CombinedOutcome, Outcome, SolverConfig,
 };
-use treenet_dist::{
-    descriptor_bits, run_distributed_auto_reference, run_distributed_line_arbitrary_reference,
-    run_distributed_line_unit_reference, run_distributed_tree_arbitrary_reference,
-    run_distributed_tree_unit_reference, DistAutoRun, DistConfig, COMBINE_ROUNDS,
-};
+use treenet_dist::{descriptor_bits, DistConfig, StepRecord, COMBINE_ROUNDS};
 use treenet_lint::{Registry, REGISTRY_REL_PATH};
 use treenet_model::{Problem, Solution};
 
@@ -68,7 +70,7 @@ use treenet_model::{Problem, Solution};
 const TOLERANCE: f64 = 0.10;
 
 /// Control-plane ceiling for [`CONTROL_CEILING_SCENARIO`]: in-network
-/// engine rounds must stay within this factor of the serial reference
+/// engine rounds must stay within this factor of the serial rounds
 /// (with amortized sweeps and the overlapped prologue the typical ratio
 /// is 2–3×; the per-step legacy sweeps sat at ~37×).
 const CONTROL_CEILING: f64 = 5.0;
@@ -101,8 +103,11 @@ struct ScenarioReport {
     /// The paper's `O(M)` bound for this problem (one demand descriptor
     /// over all networks).
     bound_bits: u64,
-    /// Engine rounds of the driver-counted serial reference — the
-    /// baseline the merged wide/narrow execution beats on wall-clock.
+    /// Serial rounds: Σ over the run's halves of the logical
+    /// `RunStats::comm_rounds + 1` — the engine rounds of executing the
+    /// halves as separate passes (one setup round each) with no control
+    /// plane, the baseline the merged wide/narrow execution beats on
+    /// wall-clock.
     reference_rounds: u64,
     /// Wall-clock of the recorded in-network run, milliseconds.
     wall_ms: f64,
@@ -130,62 +135,79 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64() * 1000.0)
 }
 
-/// Engine rounds of the driver-counted serial reference run.
-fn reference_rounds(s: &Scenario, problem: &Problem, config: &DistConfig) -> u64 {
-    let metrics = match s.runner {
-        Runner::TreeUnit => {
-            run_distributed_tree_unit_reference(problem, config)
-                .expect(s.name)
-                .metrics
-        }
-        Runner::TreeArbitrary => {
-            run_distributed_tree_arbitrary_reference(problem, config)
-                .expect(s.name)
-                .metrics
-        }
-        Runner::LineUnit => {
-            run_distributed_line_unit_reference(problem, config)
-                .expect(s.name)
-                .metrics
-        }
-        Runner::LineArbitrary => {
-            run_distributed_line_arbitrary_reference(problem, config)
-                .expect(s.name)
-                .metrics
-        }
-        Runner::Auto => match run_distributed_auto_reference(problem, config)
-            .expect(s.name)
-            .run
-        {
-            DistAutoRun::Single(out) => out.metrics,
-            DistAutoRun::Split(out) => out.metrics,
-        },
-    };
-    metrics.rounds
-}
-
-/// The logical twin of the scenario's runner: its solution and λ bit
-/// patterns per half (`solve_auto` reports only the dispatched run's
-/// overall λ).
-fn logical(s: &Scenario, problem: &Problem) -> (Solution, Vec<u64>) {
+/// The logical twin of the scenario's runner (for `auto`, the solver
+/// `auto_choice` dispatches to): the combined solution and the outcome
+/// of each half — one for a solo run, `[wide, narrow]` for a split.
+fn logical(s: &Scenario, problem: &Problem) -> (Solution, Vec<Outcome>) {
     let config = SolverConfig::default()
         .with_epsilon(EPSILON)
         .with_seed(SEED);
-    let solo = |out: Outcome| (out.solution, vec![out.lambda.to_bits()]);
-    let split = |out: CombinedOutcome| {
-        let bits = vec![out.wide.lambda.to_bits(), out.narrow.lambda.to_bits()];
-        (out.solution, bits)
+    let choice = match s.runner {
+        Runner::TreeUnit => AutoChoice::TreeUnit,
+        Runner::TreeArbitrary => AutoChoice::TreeArbitrary,
+        Runner::LineUnit => AutoChoice::LineUnit,
+        Runner::LineArbitrary => AutoChoice::LineArbitrary,
+        Runner::Auto => auto_choice(problem),
     };
-    match s.runner {
-        Runner::TreeUnit => solo(solve_tree_unit(problem, &config).expect(s.name)),
-        Runner::TreeArbitrary => split(solve_tree_arbitrary(problem, &config).expect(s.name)),
-        Runner::LineUnit => solo(solve_line_unit(problem, &config).expect(s.name)),
-        Runner::LineArbitrary => split(solve_line_arbitrary(problem, &config).expect(s.name)),
-        Runner::Auto => {
-            let out = solve_auto(problem, &config).expect(s.name);
-            (out.solution, vec![out.lambda.to_bits()])
+    let solo = |out: Outcome| (out.solution.clone(), vec![out]);
+    let split = |out: CombinedOutcome| (out.solution, vec![out.wide, out.narrow]);
+    match choice {
+        AutoChoice::TreeUnit => solo(solve_tree_unit(problem, &config).expect(s.name)),
+        AutoChoice::TreeArbitrary => split(solve_tree_arbitrary(problem, &config).expect(s.name)),
+        AutoChoice::LineUnit => solo(solve_line_unit(problem, &config).expect(s.name)),
+        AutoChoice::LineArbitrary => split(solve_line_arbitrary(problem, &config).expect(s.name)),
+    }
+}
+
+/// Checks the recorded run against its logical twin — the solution, and
+/// per half the λ bits, the steps and the pops — and returns the serial
+/// rounds (Σ over halves of the logical `comm_rounds + 1`).
+fn check_logical(
+    s: &Scenario,
+    problem: &Problem,
+    surface: &Surface,
+    failures: &mut Vec<String>,
+) -> u64 {
+    let (solution, halves) = logical(s, problem);
+    if solution != surface.solution {
+        failures.push(format!(
+            "{}: solution differs from the logical solver",
+            s.name
+        ));
+    }
+    // A half-count mismatch already fails here (one λ per half).
+    let lambda_bits: Vec<u64> = halves.iter().map(|o| o.lambda.to_bits()).collect();
+    if lambda_bits != surface.lambda_bits {
+        failures.push(format!(
+            "{}: λ bits {:x?} differ from the logical solver's {lambda_bits:x?}",
+            s.name, surface.lambda_bits
+        ));
+    }
+    for (half, (schedule, outcome)) in surface.schedules.iter().zip(&halves).enumerate() {
+        let steps: Vec<StepRecord> = outcome.stack.iter().map(StepRecord::from).collect();
+        if schedule.steps != steps {
+            let at = steps
+                .iter()
+                .zip(&schedule.steps)
+                .position(|(a, b)| a != b)
+                .unwrap_or(steps.len().min(schedule.steps.len()));
+            failures.push(format!(
+                "{}: half {half} step {at} is {:?}, the logical stack has {:?}",
+                s.name,
+                schedule.steps.get(at),
+                steps.get(at)
+            ));
+        }
+        if schedule.pops != steps.len() as u64 {
+            failures.push(format!(
+                "{}: half {half} popped {} times for a logical stack of {}",
+                s.name,
+                schedule.pops,
+                steps.len()
+            ));
         }
     }
+    halves.iter().map(|o| o.stats.comm_rounds + 1).sum()
 }
 
 /// The exact engine-round relation of an in-network run: one setup
@@ -201,7 +223,7 @@ fn expected_rounds(surface: &Surface) -> u64 {
 
 /// Runs one scenario at its thread count `k` (`--threads`, else
 /// [`SPEEDUP_THREADS`] for huge scenarios and 1 elsewhere) and checks
-/// the recorded run against the logical solver and the round relation;
+/// the recorded run against the logical twin and the round relation;
 /// at `k > 1` it also reruns at 1 thread, which must reproduce the whole
 /// surface. Check failures are appended to `failures`.
 fn run_scenario(s: &Scenario, args: &DistArgs, failures: &mut Vec<String>) -> ScenarioReport {
@@ -231,31 +253,7 @@ fn run_scenario(s: &Scenario, args: &DistArgs, failures: &mut Vec<String>) -> Sc
         (None, None)
     };
 
-    let (solution, lambda_bits) = logical(s, &problem);
-    let observed_bits = match s.runner {
-        // `solve_auto` reports one λ: the minimum over the halves.
-        Runner::Auto => {
-            let lambda = surface
-                .lambda_bits
-                .iter()
-                .map(|&bits| f64::from_bits(bits))
-                .fold(f64::INFINITY, f64::min);
-            vec![lambda.to_bits()]
-        }
-        _ => surface.lambda_bits.clone(),
-    };
-    if solution != surface.solution {
-        failures.push(format!(
-            "{}: solution differs from the logical solver",
-            s.name
-        ));
-    }
-    if lambda_bits != observed_bits {
-        failures.push(format!(
-            "{}: λ bits {observed_bits:x?} differ from the logical solver's {lambda_bits:x?}",
-            s.name
-        ));
-    }
+    let reference_rounds = check_logical(s, &problem, &surface, failures);
     let expected = expected_rounds(&surface);
     if surface.metrics.rounds != expected {
         failures.push(format!(
@@ -271,7 +269,7 @@ fn run_scenario(s: &Scenario, args: &DistArgs, failures: &mut Vec<String>) -> Sc
         bits: surface.metrics.bits,
         max_message_bits: surface.metrics.max_message_bits,
         bound_bits: descriptor_bits(problem.network_count()),
-        reference_rounds: reference_rounds(s, &problem, &config),
+        reference_rounds,
         wall_ms,
         threads: threads as u64,
         wall_ms_1t,
@@ -432,12 +430,11 @@ fn main() {
         if row.name == CONTROL_CEILING_SCENARIO
             && row.rounds as f64 > CONTROL_CEILING * row.reference_rounds as f64
         {
-            eprintln!(
-                "CONTROL GATE: {}: {} engine rounds exceed {CONTROL_CEILING}x the serial \
-                 reference ({})",
+            failures.push(format!(
+                "{}: {} engine rounds exceed {CONTROL_CEILING}x the serial rounds ({}) — \
+                 control-plane ceiling",
                 row.name, row.rounds, row.reference_rounds
-            );
-            std::process::exit(1);
+            ));
         }
     }
 
@@ -453,12 +450,11 @@ fn main() {
             continue;
         };
         if cpus >= SPEEDUP_THREADS && speedup < SPEEDUP_MIN {
-            eprintln!(
-                "SCALE GATE: {}: {speedup:.2}x speedup at {SPEEDUP_THREADS} threads \
-                 (< {SPEEDUP_MIN}x) on a {cpus}-CPU host",
+            failures.push(format!(
+                "{}: {speedup:.2}x speedup at {SPEEDUP_THREADS} threads (< {SPEEDUP_MIN}x) \
+                 on a {cpus}-CPU host — scale gate",
                 row.name
-            );
-            std::process::exit(1);
+            ));
         }
         println!(
             "{}: {speedup:.2}x at {SPEEDUP_THREADS} threads ({} CPUs visible{})",
@@ -525,8 +521,8 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "budget gate passed: {} scenario(s) equal to the logical solver with exact round \
-         relations, all messages within the O(M)-bit bound{}",
+        "budget gate passed: {} scenario(s) equal to the logical solver (solutions, λ, \
+         schedules) with exact round relations, all messages within the O(M)-bit bound{}",
         read_back.scenarios.len(),
         if args.baseline.is_some() {
             format!(", within {:.0}% of the baseline", TOLERANCE * 100.0)

@@ -20,7 +20,7 @@
 //! | `exp_f_vs_ps_profit` | realized-profit comparison vs PS on identical inputs |
 //! | `exp_f_narrow_wide` | the (80+ε) combiner; rounds ∝ `1/hmin` (Thm 6.3) |
 //! | `exp_f_mis_rounds` | Luby `Time(MIS) = O(log N)` |
-//! | `exp_f_dist_budget` | message-passing ≡ logical (Sec. 5, Thms 7.1/7.2), bit-identical at any thread count; `O(M)`-bit messages; exact setup/compute/control round relation; round/message budgets, CI regression gate vs `BENCH_dist_rounds.json` |
+//! | `exp_f_dist_budget` | message-passing ≡ logical (Sec. 5, Thms 7.1/7.2: solutions, λ bits, schedules = logical stacks), bit-identical at any thread count; `O(M)`-bit messages; exact setup/compute/control round relation; round/message budgets, CI regression gate vs `BENCH_dist_rounds.json` |
 //! | `exp_f_dist_loss` | lossy links are invisible to the protocol; round/message overhead of the reliable layer; writes `BENCH_dist_loss.json` |
 //! | `exp_f_seq_ratio` | sequential 3- and 2-approximations (Appendix A) |
 //! | `exp_perf_phase1` | incremental phase-1 engine vs from-scratch reference; writes `BENCH_phase1.json` |

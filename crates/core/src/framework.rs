@@ -241,6 +241,10 @@ pub struct StackEntry {
     pub at: (u32, u32, u64),
     /// The raised independent set.
     pub instances: Vec<InstanceId>,
+    /// Luby iterations of this step's MIS — the per-step `Time(MIS)`
+    /// charge; `step_comm_rounds(luby_rounds)` is the step's share of
+    /// [`RunStats::comm_rounds`].
+    pub luby_rounds: u64,
 }
 
 impl Outcome {
@@ -565,6 +569,7 @@ pub fn run_two_phase(
                 stack.push(StackEntry {
                     at: (k, j, steps_this_stage),
                     instances: raised,
+                    luby_rounds: rounds,
                 });
                 stats.comm_rounds += step_comm_rounds(rounds);
                 steps_this_stage += 1;
@@ -745,6 +750,7 @@ pub fn run_two_phase_reference(
                 stack.push(StackEntry {
                     at: (k, j, steps_this_stage),
                     instances: raised,
+                    luby_rounds: outcome.rounds,
                 });
                 stats.comm_rounds += step_comm_rounds(outcome.rounds);
                 steps_this_stage += 1;
@@ -1020,17 +1026,36 @@ mod tests {
         assert_eq!(step_comm_rounds(1), 3);
         assert_eq!(step_comm_rounds(5), 11);
         // The accounting in RunStats::comm_rounds follows the formula:
-        // a run's total equals Σ steps step_comm_rounds(luby) + pops, so
-        // with the stack length known we can cross-check one run.
+        // a run's total equals Σ steps step_comm_rounds(luby) + pops, and
+        // the stack carries each step's Luby iterations — for both the
+        // incremental engine and the from-scratch reference.
         let p = small_problem(2);
-        let (_, outcome) = run(&p, 2);
-        let pops = outcome.stack.len() as u64;
-        let steps = outcome.stats.steps;
-        // comm_rounds = Σ (2·luby_i + 1) + pops = 2·mis_rounds + steps + pops.
-        assert_eq!(
-            outcome.stats.comm_rounds,
-            2 * outcome.stats.mis_rounds + steps + pops
-        );
+        let (layers, fast) = run(&p, 2);
+        let participants: Vec<InstanceId> = p.instances().map(|d| d.id).collect();
+        let config = FrameworkConfig {
+            seed: 2,
+            ..FrameworkConfig::default()
+        };
+        let oracle =
+            run_two_phase_reference(&p, &layers, RaiseRule::Unit, &config, &participants).unwrap();
+        for outcome in [&fast, &oracle] {
+            let pops = outcome.stack.len() as u64;
+            let steps = outcome.stats.steps;
+            assert_eq!(steps, pops, "one stack entry per step");
+            // comm_rounds = Σ (2·luby_i + 1) + pops = 2·mis_rounds + steps + pops.
+            assert_eq!(
+                outcome.stats.comm_rounds,
+                2 * outcome.stats.mis_rounds + steps + pops
+            );
+            let luby: u64 = outcome.stack.iter().map(|e| e.luby_rounds).sum();
+            assert_eq!(luby, outcome.stats.mis_rounds);
+            let step_rounds: u64 = outcome
+                .stack
+                .iter()
+                .map(|e| step_comm_rounds(e.luby_rounds))
+                .sum();
+            assert_eq!(step_rounds + pops, outcome.stats.comm_rounds);
+        }
     }
 
     #[test]

@@ -60,10 +60,13 @@
 //! The wide and narrow halves of an arbitrary-height run execute as one
 //! merged engine pass with messages namespaced by [`RunTag`], so the two
 //! independent computations overlap in wall-clock rounds instead of
-//! running serially. The pre-PR serial, driver-counted formulation is
-//! preserved as the executable oracle (`run_distributed_*_reference`,
-//! mirroring `run_two_phase_reference` in `treenet-core`) and proptested
-//! for identical schedules, λ and solutions.
+//! running serially.
+//!
+//! The logical twin is the one oracle: besides the solution and λ, each
+//! half's executed [`DistSchedule::steps`] equals the twin's
+//! `Outcome::stack` mapped through [`StepRecord::from`] (including the
+//! per-step Luby iterations), and `pops == stack.len()`. The tests and
+//! `exp_f_dist_budget` check exactly that.
 //!
 //! # Round accounting
 //!
@@ -121,7 +124,6 @@
 #![warn(missing_docs)]
 
 mod node;
-mod reference;
 
 use std::fmt;
 use std::sync::Arc;
@@ -129,7 +131,7 @@ use std::sync::Arc;
 use node::{Layering, Mode, ProcessorNode, PublicInfo, SATISFACTION_GUARD};
 use treenet_core::{
     auto_choice, echo_sweep_rounds, mis_tag, narrow_xi, prologue_rounds, stages_for, unit_xi,
-    AutoChoice, RaiseRule, SolverConfig,
+    AutoChoice, RaiseRule, SolverConfig, StackEntry,
 };
 use treenet_decomp::{line_lmin, ConvergecastForest, LayeredDecomposition, Strategy};
 use treenet_graph::{RootedTree, VertexId};
@@ -138,11 +140,6 @@ use treenet_model::{HeightClass, InstanceId, Problem, Solution};
 use treenet_netsim::{Engine, LossModel, Metrics, Topology};
 
 pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag};
-pub use reference::{
-    run_distributed_auto_reference, run_distributed_line_arbitrary_reference,
-    run_distributed_line_unit_reference, run_distributed_tree_arbitrary_reference,
-    run_distributed_tree_unit_reference,
-};
 
 /// Engine rounds of the in-network combiner phase appended to every
 /// merged wide/narrow run: report to the network leaders, fold and
@@ -257,6 +254,22 @@ pub struct StepRecord {
     pub luby_rounds: u64,
 }
 
+/// The step the logical runner recorded for a stack entry — the record
+/// the message-passing execution of that step must reproduce, so a
+/// `DistSchedule::steps` is compared entry for entry against the
+/// logical `Outcome::stack`.
+impl From<&StackEntry> for StepRecord {
+    fn from(entry: &StackEntry) -> Self {
+        let (epoch, stage, step) = entry.at;
+        StepRecord {
+            epoch,
+            stage,
+            step,
+            luby_rounds: entry.luby_rounds,
+        }
+    }
+}
+
 /// The executed schedule of one (sub-)run: phase-1 steps, phase-2 pops,
 /// and the overlapped control plane (echo sweeps and the BFS prologue).
 ///
@@ -273,11 +286,7 @@ pub struct StepRecord {
 ///   `run_distributed_line_arbitrary`): the halves share one engine and
 ///   overlap, so
 ///   `Metrics::rounds == max(wide.engine_rounds(), narrow.engine_rounds())
-///   + 1 + COMBINE_ROUNDS`;
-/// * **reference (driver-counted) paths** have `stalls == 0` and
-///   `sweeps == 0`: solo `Metrics::rounds == compute + 1`, and the
-///   serial split merges two engines:
-///   `Metrics::rounds == wide.compute + narrow.compute + 2`.
+///   + 1 + COMBINE_ROUNDS`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DistSchedule {
     /// Phase-1 steps in execution order (= framework stack order).
@@ -286,8 +295,7 @@ pub struct DistSchedule {
     pub pops: u64,
     /// In-network termination-detection sweeps armed: one certification
     /// sweep per epoch that ran steps, plus one refresh sweep per
-    /// `2^`[`DistConfig::sweep_interval_log2`] completed steps. Zero on
-    /// the driver-counted reference path.
+    /// `2^`[`DistConfig::sweep_interval_log2`] completed steps.
     pub sweeps: u64,
     /// Engine rounds one sweep needs to drain —
     /// `treenet_core::echo_sweep_rounds` of the convergecast-forest
@@ -386,8 +394,7 @@ pub struct DistCombinedOutcome {
     pub wide: DistRunReport,
     /// The narrow-rule half over narrow demands (`h ≤ 1/2`).
     pub narrow: DistRunReport,
-    /// Communication metrics of the whole run (merged runs: one shared
-    /// engine; reference runs: both serial engines merged).
+    /// Communication metrics of the whole run (one shared engine).
     pub metrics: Metrics,
 }
 
@@ -479,7 +486,7 @@ impl fmt::Display for DistError {
 
 impl std::error::Error for DistError {}
 
-pub(crate) fn validate(config: &DistConfig) -> Result<(), DistError> {
+fn validate(config: &DistConfig) -> Result<(), DistError> {
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
         return Err(DistError::BadParameters {
             reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
@@ -488,7 +495,7 @@ pub(crate) fn validate(config: &DistConfig) -> Result<(), DistError> {
     Ok(())
 }
 
-pub(crate) fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> Descriptor {
+fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> Descriptor {
     Descriptor {
         id: a,
         demand: *problem.demand(a),
@@ -496,7 +503,7 @@ pub(crate) fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> De
     }
 }
 
-pub(crate) fn rooted_views(problem: &Problem) -> Vec<RootedTree> {
+fn rooted_views(problem: &Problem) -> Vec<RootedTree> {
     problem
         .networks()
         .map(|t| RootedTree::new(problem.network(t), VertexId(0)))
@@ -505,7 +512,7 @@ pub(crate) fn rooted_views(problem: &Problem) -> Vec<RootedTree> {
 
 /// The processor communication graph as plain adjacency lists — the
 /// input of both the engine topology and the public convergecast forest.
-pub(crate) fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
+fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
     problem
         .communication_graph()
         .into_iter()
@@ -515,10 +522,7 @@ pub(crate) fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
 
 /// Tree public info: decompositions per `config.strategy` plus the
 /// layered decomposition (for `Δ` and the group count — both public).
-pub(crate) fn tree_public(
-    problem: &Problem,
-    config: &DistConfig,
-) -> (Arc<PublicInfo>, LayeredDecomposition) {
+fn tree_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, LayeredDecomposition) {
     let decomps: Vec<_> = problem
         .networks()
         .map(|t| config.strategy.build(problem.network(t)))
@@ -543,10 +547,7 @@ pub(crate) fn tree_public(
 /// # Panics
 ///
 /// Panics if some network is not a canonical line.
-pub(crate) fn line_public(
-    problem: &Problem,
-    config: &DistConfig,
-) -> (Arc<PublicInfo>, LayeredDecomposition) {
+fn line_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, LayeredDecomposition) {
     let layers = LayeredDecomposition::for_lines(problem);
     let public = Arc::new(PublicInfo {
         rooted: rooted_views(problem),
@@ -560,11 +561,9 @@ pub(crate) fn line_public(
     (public, layers)
 }
 
-/// Builds the shared engine (topology + optional adversarial delivery
-/// shuffle + optional lossy links under the reliable sublayer) for a
-/// node set. Used by the in-network and the reference paths alike, so
-/// both run over the same link model.
-pub(crate) fn build_engine(
+/// Builds the engine (topology + optional adversarial delivery shuffle
+/// + optional lossy links under the reliable sublayer) for a node set.
+fn build_engine(
     nodes: Vec<ProcessorNode>,
     problem: &Problem,
     config: &DistConfig,
@@ -997,7 +996,6 @@ fn execute_in_network(
                 problem.instances_of(a).to_vec(),
                 plan.rule,
                 plan.tag,
-                true,
             )
         })
         .collect();
@@ -1137,7 +1135,7 @@ fn run_solo(
 /// [`treenet_core::resolve_narrow_hmin`] — the same collection order and
 /// arithmetic as `solve_tree_arbitrary`/`solve_line_arbitrary`, so the
 /// two sides derive the same `narrow_xi` by construction.
-pub(crate) fn resolve_hmin(problem: &Problem, config: &DistConfig) -> Result<f64, DistError> {
+fn resolve_hmin(problem: &Problem, config: &DistConfig) -> Result<f64, DistError> {
     let narrow_ids: Vec<InstanceId> = problem
         .instances()
         .filter(|inst| problem.demand(inst.demand).height_class() == HeightClass::Narrow)
@@ -1502,34 +1500,36 @@ mod tests {
         }
     }
 
+    /// The executed schedule of one half equals the logical stack: one
+    /// step record per stack entry (same coordinates, same Luby
+    /// iterations) and one pop per entry.
+    fn assert_schedule_is_stack(schedule: &DistSchedule, stack: &[StackEntry], label: &str) {
+        let steps: Vec<StepRecord> = stack.iter().map(StepRecord::from).collect();
+        assert_eq!(schedule.steps, steps, "{label}");
+        assert_eq!(schedule.pops, stack.len() as u64, "{label}");
+    }
+
     #[test]
-    fn in_network_equals_reference_oracle() {
-        // The driver-counted serial path is the executable spec: same
-        // solutions, bit-identical λ, and identical compute schedules
-        // (steps + pops; the oracle has no sweeps by construction).
+    fn in_network_schedule_equals_logical_stack() {
+        // In-network termination detection decides exactly the stage and
+        // epoch boundaries of the logical run: same solutions,
+        // bit-identical λ, and the logical stack as the compute schedule.
         for seed in 0..4u64 {
+            let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
             let p = problem(seed);
-            let cfg = DistConfig {
-                epsilon: 0.3,
-                seed,
-                ..DistConfig::default()
-            };
-            let fast = run_distributed_tree_unit(&p, &cfg).unwrap();
-            let oracle = run_distributed_tree_unit_reference(&p, &cfg).unwrap();
-            assert_eq!(fast.solution, oracle.solution, "seed {seed}");
-            assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
-            assert_eq!(fast.schedule.steps, oracle.schedule.steps);
-            assert_eq!(fast.schedule.pops, oracle.schedule.pops);
-            assert_eq!(oracle.schedule.sweeps, 0);
-            assert_eq!(oracle.metrics.rounds, oracle.schedule.total_rounds() + 1);
+            let logical = solve_tree_unit(&p, &cfg).unwrap();
+            let fast = run_distributed_tree_unit(&p, &DistConfig::from(&cfg)).unwrap();
+            assert_eq!(fast.solution, logical.solution, "seed {seed}");
+            assert_eq!(fast.lambda.to_bits(), logical.lambda.to_bits());
+            assert_schedule_is_stack(&fast.schedule, &logical.stack, "tree-unit");
 
             let p = mixed_line_problem(seed);
-            let fast = run_distributed_line_arbitrary(&p, &cfg).unwrap();
-            let oracle = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
-            assert_eq!(fast.solution, oracle.solution, "seed {seed}");
+            let logical = solve_line_arbitrary(&p, &cfg).unwrap();
+            let fast = run_distributed_line_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
+            assert_eq!(fast.solution, logical.solution, "seed {seed}");
             for (label, a, b) in [
-                ("wide", &fast.wide, &oracle.wide),
-                ("narrow", &fast.narrow, &oracle.narrow),
+                ("wide", &fast.wide, &logical.wide),
+                ("narrow", &fast.narrow, &logical.narrow),
             ] {
                 assert_eq!(a.solution, b.solution, "seed {seed} {label}");
                 assert_eq!(
@@ -1537,29 +1537,20 @@ mod tests {
                     b.lambda.to_bits(),
                     "seed {seed} {label}"
                 );
-                assert_eq!(a.schedule.steps, b.schedule.steps, "seed {seed} {label}");
-                assert_eq!(a.schedule.pops, b.schedule.pops, "seed {seed} {label}");
+                assert_schedule_is_stack(&a.schedule, &b.stack, label);
             }
-            // Serial reference: two engines, one setup round each.
-            assert_eq!(
-                oracle.metrics.rounds,
-                oracle.wide.schedule.total_rounds() + oracle.narrow.schedule.total_rounds() + 2
-            );
         }
     }
 
     #[test]
     fn merged_split_overlaps_the_halves() {
         // The merged engine interleaves the halves: its wall-clock rounds
-        // follow the documented max-relation, strictly below the serial
-        // reference's sum whenever both halves do real work.
+        // follow the documented max-relation, strictly below running the
+        // two halves serially (one setup round plus the logical compute
+        // rounds per pass) whenever both halves do real work.
         let p = mixed_line_problem(1);
-        let cfg = DistConfig {
-            epsilon: 0.3,
-            seed: 1,
-            ..DistConfig::default()
-        };
-        let merged = run_distributed_line_arbitrary(&p, &cfg).unwrap();
+        let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(1);
+        let merged = run_distributed_line_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
         assert_eq!(
             merged.metrics.rounds,
             merged
@@ -1570,15 +1561,15 @@ mod tests {
                 + 1
                 + COMBINE_ROUNDS
         );
-        let reference = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
+        let logical = solve_line_arbitrary(&p, &cfg).unwrap();
+        let serial = logical.wide.stats.comm_rounds + logical.narrow.stats.comm_rounds + 2;
         assert!(
             merged.metrics.rounds
-                < reference.metrics.rounds
+                < serial
                     + merged.wide.schedule.control_rounds()
                     + merged.narrow.schedule.control_rounds(),
-            "merged {} vs serial {} (+control)",
+            "merged {} vs serial {serial} (+control)",
             merged.metrics.rounds,
-            reference.metrics.rounds
         );
     }
 
@@ -1697,7 +1688,6 @@ mod tests {
         for result in [
             run_distributed_tree_unit(&p, &cfg),
             run_distributed_line_unit(&p, &cfg),
-            run_distributed_tree_unit_reference(&p, &cfg),
         ] {
             match result {
                 Err(DistError::MisBudgetExhausted { epoch, stage, step }) => {

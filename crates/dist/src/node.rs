@@ -22,9 +22,9 @@
 //! [`RunTag`]: in a merged wide/narrow execution both sub-runs share one
 //! engine and every protocol message is namespaced by its sub-run, so a
 //! node simply ignores data messages of the other half (they cannot
-//! affect its duals — exactly as in the serial reference execution,
-//! where the other half's messages did not exist). Three always-on
-//! layers sit outside the sub-run namespaces:
+//! affect its duals — the two halves are independent computations, as
+//! in the logical solver). Three always-on layers sit outside the
+//! sub-run namespaces:
 //!
 //! * the **prologue layer** (BFS/leader election): from the first round
 //!   every non-isolated node floods its best `(root, dist)` label — the
@@ -491,10 +491,6 @@ pub(crate) struct ProcessorNode {
     /// The run's raising rule (fixes δ, the β increment and the dual LHS
     /// form — taken from the shared `treenet-core` definitions).
     rule: RaiseRule,
-    /// Whether this node's demand participates in the current run (false
-    /// only for the off-class half of the *serial reference* path, where
-    /// each engine pass runs one half and the other stays silent).
-    participating: bool,
     own: Vec<OwnInstance>,
     /// α of the own demand.
     alpha: f64,
@@ -552,7 +548,6 @@ impl ProcessorNode {
         ids: Vec<InstanceId>,
         rule: RaiseRule,
         tag: RunTag,
-        participating: bool,
     ) -> Self {
         let views = public.views(&descriptor);
         assert_eq!(
@@ -588,7 +583,6 @@ impl ProcessorNode {
             descriptor,
             tag,
             rule,
-            participating,
             own,
             alpha: 0.0,
             beta,
@@ -625,11 +619,6 @@ impl ProcessorNode {
         self.tag
     }
 
-    /// Whether this node's demand participates in the run.
-    pub fn is_participating(&self) -> bool {
-        self.participating
-    }
-
     /// The dual LHS of own instance `i` — same summation order and form
     /// (`α + scale·Σβ`, with `scale = 1` for the unit rule and `h(d)`
     /// for the narrow rule) as the logical `DualState::lhs`, so the float
@@ -653,22 +642,17 @@ impl ProcessorNode {
         self.lhs(i) / self.own[i].view.profit
     }
 
-    /// Whether any own participating instance belongs to epoch group `k`
-    /// — the node-local pacing hint both driver paths read between
-    /// rounds (the same bit the `Active` broadcasts disseminate; the
-    /// in-network path additionally audits it with echo sweeps).
+    /// Whether any own instance belongs to epoch group `k` — the
+    /// node-local pacing hint the driver reads between rounds (the same
+    /// bit the `Active` broadcasts disseminate, audited by echo sweeps).
     pub fn has_group(&self, k: u32) -> bool {
-        self.participating && self.own.iter().any(|inst| inst.view.group == k)
+        self.own.iter().any(|inst| inst.view.group == k)
     }
 
     /// Number of own group-`k` instances below `threshold`-satisfaction —
     /// the same predicate the announce round and [`Self::begin_echo`]
     /// use, so a sweep's verdict must reproduce the summed hints exactly.
-    /// Zero for passive nodes.
     pub fn count_unsatisfied(&self, k: u32, threshold: f64) -> usize {
-        if !self.participating {
-            return 0;
-        }
         (0..self.own.len())
             .filter(|&i| {
                 self.own[i].view.group == k && self.satisfaction(i) < threshold - SATISFACTION_GUARD
@@ -745,7 +729,7 @@ impl ProcessorNode {
     /// `threshold`, and arm the echo layer. Called on **every** node —
     /// off-run nodes contribute zero but still relay.
     pub fn begin_echo(&mut self, run: RunTag, k: u32, threshold: f64) {
-        let (unsatisfied, members) = if self.participating && self.tag == run {
+        let (unsatisfied, members) = if self.tag == run {
             let mut unsatisfied = 0u32;
             let mut members = false;
             for i in 0..self.own.len() {
@@ -1199,9 +1183,9 @@ impl Protocol for ProcessorNode {
     ) {
         // Mode-independent intake: descriptors, the BFS prologue flood
         // and the echo layer's aggregates — every node relays the
-        // control layers, including nodes that are passive for the data
-        // protocol. Both the prologue and the echo intake are min/sum
-        // folds, so inbox order is irrelevant by construction.
+        // control layers of both halves. Both the prologue and the echo
+        // intake are min/sum folds, so inbox order is irrelevant by
+        // construction.
         for env in inbox {
             match &env.msg {
                 DistMsg::Descriptor(descriptor) => {
@@ -1251,12 +1235,7 @@ impl Protocol for ProcessorNode {
         }
         self.echo_round(ctx);
 
-        // Data-plane compute, gated on participation (the serial
-        // reference path keeps off-class nodes fully silent; merged runs
-        // make every node a participant of exactly one half).
-        if !self.participating {
-            return;
-        }
+        // Data-plane compute: every node participates in exactly one half.
         match self.mode.clone() {
             Mode::Setup => self.round_setup(ctx),
             Mode::Idle => {}

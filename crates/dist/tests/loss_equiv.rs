@@ -20,8 +20,8 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet_core::retransmit_round_bound;
 use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, run_distributed_line_arbitrary,
-    run_distributed_line_unit, run_distributed_tree_unit, DistAutoRun, DistConfig,
+    run_distributed_auto, run_distributed_line_arbitrary, run_distributed_line_unit,
+    run_distributed_tree_unit, DistAutoRun, DistConfig,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
@@ -404,19 +404,6 @@ fn lossy_runners_match_the_logical_solvers_bitwise() {
         assert_eq!(logical.lambda().to_bits(), lossy.lambda().to_bits());
         assert!(lossy.metrics.retransmits > 0 || lossy.metrics.dropped == 0);
     }
-}
-
-#[test]
-fn reference_oracles_also_run_over_lossy_links() {
-    // The driver-counted reference path shares build_engine, so the
-    // oracle itself survives loss — and still matches the in-network
-    // path exactly.
-    let problem = mixed_problem(4, 1);
-    let cfg = lossy_config(4, LossModel::bernoulli(0.1, 21));
-    let fast = run_distributed_auto(&problem, &cfg).unwrap();
-    let oracle = run_distributed_auto_reference(&problem, &cfg).unwrap();
-    assert_eq!(fast.solution, oracle.solution);
-    assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
 }
 
 #[test]

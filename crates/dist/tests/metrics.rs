@@ -12,20 +12,14 @@
 //!   in-flight sweep or the prologue to drain);
 //! * merged split runner (one shared engine, halves overlapping):
 //!   `rounds == max(wide.engine_rounds(), narrow.engine_rounds()) + 1 +
-//!   COMBINE_ROUNDS`;
-//! * driver-counted reference paths have no sweeps: solo
-//!   `rounds == total_rounds() + 1`, serial split
-//!   `rounds == wide.total + narrow.total + 2`.
+//!   COMBINE_ROUNDS`.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use treenet_dist::{
     descriptor_bits, run_distributed_auto, run_distributed_line_arbitrary,
-    run_distributed_line_arbitrary_reference, run_distributed_line_unit,
-    run_distributed_line_unit_reference, run_distributed_tree_arbitrary,
-    run_distributed_tree_arbitrary_reference, run_distributed_tree_unit,
-    run_distributed_tree_unit_reference, DistAutoRun, DistCombinedOutcome, DistConfig, DistOutcome,
-    COMBINE_ROUNDS,
+    run_distributed_line_unit, run_distributed_tree_arbitrary, run_distributed_tree_unit,
+    DistAutoRun, DistCombinedOutcome, DistConfig, DistOutcome, COMBINE_ROUNDS,
 };
 use treenet_graph::generators::TreeFamily;
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
@@ -214,8 +208,8 @@ fn rounds_follow_the_framework_schedule() {
 
 #[test]
 fn round_relation_is_exact_for_every_runner() {
-    // The documented relations, audited for every in-network runner and
-    // every reference runner — exact equalities, never ranges.
+    // The documented relations, audited for every in-network runner —
+    // exact equalities, never ranges.
     let tree = tree_problem(23);
     let out = run_distributed_tree_unit(&tree, &DistConfig::default()).unwrap();
     assert_solo_relation(&out, "tree-unit");
@@ -241,25 +235,6 @@ fn round_relation_is_exact_for_every_runner() {
     {
         DistAutoRun::Split(out) => assert_split_relation(&out, "auto-split"),
         DistAutoRun::Single(out) => assert_solo_relation(&out, "auto-single"),
-    }
-
-    // Reference paths: no sweeps, driver-counted boundaries.
-    let out = run_distributed_tree_unit_reference(&tree, &DistConfig::default()).unwrap();
-    assert_eq!(out.schedule.sweeps, 0);
-    assert_eq!(out.schedule.control_rounds(), 0);
-    assert_eq!(out.metrics.rounds, out.schedule.total_rounds() + 1);
-
-    let out = run_distributed_line_unit_reference(&line, &DistConfig::default()).unwrap();
-    assert_eq!(out.metrics.rounds, out.schedule.total_rounds() + 1);
-
-    for out in [
-        run_distributed_line_arbitrary_reference(&mixed, &DistConfig::default()).unwrap(),
-        run_distributed_tree_arbitrary_reference(&mixed_tree, &DistConfig::default()).unwrap(),
-    ] {
-        assert_eq!(
-            out.metrics.rounds,
-            out.wide.schedule.total_rounds() + out.narrow.schedule.total_rounds() + 2
-        );
     }
 }
 

@@ -1,30 +1,48 @@
 //! Property-based distributed-vs-logical equivalence: across randomized
 //! line workloads (unit and arbitrary heights) and mixed tree/line
 //! problems dispatched through the auto runner, the message-passing
-//! execution reproduces the logical solver exactly — identical solutions
-//! and `to_bits()`-exact λ — and the fully in-network control plane
-//! (echo termination + convergecast combiner) reproduces the
-//! driver-counted reference oracle: identical schedules, λ and
-//! solutions.
+//! execution reproduces the logical solver exactly — identical solutions,
+//! `to_bits()`-exact λ, and, per half, the logical stack as the executed
+//! schedule: the fully in-network control plane (echo termination +
+//! convergecast combiner) decides exactly the logical step boundaries,
+//! with the same Luby iterations per step and one pop per entry.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_core::{solve_auto, solve_line_arbitrary, solve_line_unit, SolverConfig};
+use treenet_core::{
+    solve_auto, solve_line_arbitrary, solve_line_unit, solve_tree_arbitrary, solve_tree_unit,
+    AutoChoice, SolverConfig, StackEntry,
+};
 use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, run_distributed_line_arbitrary,
-    run_distributed_line_arbitrary_reference, run_distributed_line_unit,
-    run_distributed_line_unit_reference, DistAutoRun, DistConfig, COMBINE_ROUNDS,
+    run_distributed_auto, run_distributed_line_arbitrary, run_distributed_line_unit, DistAutoRun,
+    DistConfig, DistSchedule, StepRecord, COMBINE_ROUNDS,
 };
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
+
+/// A half's executed schedule as the logical stack would record it: the
+/// step records and the pop count.
+fn schedule_of(schedule: &DistSchedule) -> (Vec<StepRecord>, u64) {
+    (schedule.steps.clone(), schedule.pops)
+}
+
+/// The schedule the logical stack prescribes: one step record per entry
+/// (coordinates and Luby iterations) and one pop per entry.
+fn stack_schedule(stack: &[StackEntry]) -> (Vec<StepRecord>, u64) {
+    (
+        stack.iter().map(StepRecord::from).collect(),
+        stack.len() as u64,
+    )
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Theorem 7.1 as a message-passing computation: bit-identical to
-    /// `solve_line_unit` on window workloads, including the shared
-    /// compute-round accounting and the exact engine-round relation
-    /// (setup + compute + in-network control).
+    /// `solve_line_unit` on window workloads, with the logical stack as
+    /// the executed schedule, the shared compute-round accounting and the
+    /// exact engine-round relation (setup + compute + in-network
+    /// control).
     #[test]
     fn line_unit_distributed_equals_logical(seed in 0u64..3000, slack in 0u32..4) {
         let p = LineWorkload::new(30, 12)
@@ -37,6 +55,7 @@ proptest! {
         let distributed = run_distributed_line_unit(&p, &DistConfig::from(&cfg)).unwrap();
         prop_assert_eq!(&logical.solution, &distributed.solution);
         prop_assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
+        prop_assert_eq!(schedule_of(&distributed.schedule), stack_schedule(&logical.stack));
         prop_assert_eq!(distributed.schedule.total_rounds(), logical.stats.comm_rounds);
         prop_assert_eq!(
             distributed.metrics.rounds,
@@ -45,32 +64,11 @@ proptest! {
         prop_assert!(distributed.solution.verify(&p).is_ok());
     }
 
-    /// The in-network control plane vs the driver-counted oracle
-    /// (mirroring `run_two_phase_reference`): identical solutions,
-    /// bit-identical λ, and the *same compute schedule* — in-network
-    /// termination detection decides exactly the boundaries the driver
-    /// would have counted.
-    #[test]
-    fn line_unit_in_network_equals_reference(seed in 0u64..3000, slack in 0u32..4) {
-        let p = LineWorkload::new(30, 12)
-            .with_resources(2)
-            .with_window_slack(slack)
-            .with_len_range(1, 8)
-            .generate(&mut SmallRng::seed_from_u64(seed));
-        let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let fast = run_distributed_line_unit(&p, &cfg).unwrap();
-        let oracle = run_distributed_line_unit_reference(&p, &cfg).unwrap();
-        prop_assert_eq!(&fast.solution, &oracle.solution);
-        prop_assert_eq!(fast.lambda.to_bits(), oracle.lambda.to_bits());
-        prop_assert_eq!(&fast.schedule.steps, &oracle.schedule.steps);
-        prop_assert_eq!(fast.schedule.pops, oracle.schedule.pops);
-        prop_assert_eq!(oracle.schedule.sweeps, 0);
-    }
-
     /// Theorem 7.2 as one merged message-passing computation plus the
-    /// in-network combiner: the combined solution and both per-class λ
-    /// match the logical solver bitwise, and the engine-round relation
-    /// is exact.
+    /// in-network combiner: the combined solution (the convergecast
+    /// combiner reproduces `combine_by_network` bit-exactly) and, per
+    /// half, the solution, λ bits and stack-as-schedule match the logical
+    /// solver, and the engine-round relation is exact.
     #[test]
     fn line_arbitrary_distributed_equals_logical(seed in 0u64..3000) {
         let p = LineWorkload::new(30, 12)
@@ -83,8 +81,11 @@ proptest! {
         let logical = solve_line_arbitrary(&p, &cfg).unwrap();
         let distributed = run_distributed_line_arbitrary(&p, &DistConfig::from(&cfg)).unwrap();
         prop_assert_eq!(&logical.solution, &distributed.solution);
-        prop_assert_eq!(logical.wide.lambda.to_bits(), distributed.wide.lambda.to_bits());
-        prop_assert_eq!(logical.narrow.lambda.to_bits(), distributed.narrow.lambda.to_bits());
+        for (a, b) in [(&distributed.wide, &logical.wide), (&distributed.narrow, &logical.narrow)] {
+            prop_assert_eq!(&a.solution, &b.solution);
+            prop_assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
+            prop_assert_eq!(schedule_of(&a.schedule), stack_schedule(&b.stack));
+        }
         prop_assert_eq!(logical.lambda().to_bits(), distributed.lambda().to_bits());
         prop_assert_eq!(
             distributed.wide.schedule.total_rounds(),
@@ -102,33 +103,10 @@ proptest! {
         prop_assert!(distributed.solution.verify(&p).is_ok());
     }
 
-    /// The merged combiner-distributed split vs the serial driver-counted
-    /// oracle: identical combined solutions (the convergecast combiner
-    /// reproduces `combine_by_network` bit-exactly), identical per-half
-    /// schedules, λ and solutions.
-    #[test]
-    fn line_arbitrary_in_network_equals_reference(seed in 0u64..3000) {
-        let p = LineWorkload::new(30, 12)
-            .with_resources(2)
-            .with_window_slack(2)
-            .with_len_range(1, 8)
-            .with_heights(HeightMode::Bimodal { narrow_frac: 0.5, hmin: 0.2 })
-            .generate(&mut SmallRng::seed_from_u64(seed));
-        let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let fast = run_distributed_line_arbitrary(&p, &cfg).unwrap();
-        let oracle = run_distributed_line_arbitrary_reference(&p, &cfg).unwrap();
-        prop_assert_eq!(&fast.solution, &oracle.solution);
-        for (a, b) in [(&fast.wide, &oracle.wide), (&fast.narrow, &oracle.narrow)] {
-            prop_assert_eq!(&a.solution, &b.solution);
-            prop_assert_eq!(a.lambda.to_bits(), b.lambda.to_bits());
-            prop_assert_eq!(&a.schedule.steps, &b.schedule.steps);
-            prop_assert_eq!(a.schedule.pops, b.schedule.pops);
-        }
-    }
-
     /// The auto dispatch over the mixed grid: every topology/height
     /// combination picks the same theorem as `solve_auto`, reproduces
-    /// its solution and λ bitwise, and agrees with the reference oracle.
+    /// its solution and λ bitwise, and executes the dispatched logical
+    /// solver's stacks as its schedules.
     #[test]
     fn auto_distributed_equals_logical(seed in 0u64..3000, shape in 0usize..4) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -151,19 +129,25 @@ proptest! {
         prop_assert_eq!(logical.lambda.to_bits(), distributed.lambda.to_bits());
         prop_assert!(distributed.solution.verify(&p).is_ok());
 
-        let oracle = run_distributed_auto_reference(&p, &DistConfig::from(&cfg)).unwrap();
-        prop_assert_eq!(oracle.choice, distributed.choice);
-        prop_assert_eq!(&oracle.solution, &distributed.solution);
-        prop_assert_eq!(oracle.lambda.to_bits(), distributed.lambda.to_bits());
-        match (&distributed.run, &oracle.run) {
-            (DistAutoRun::Single(a), DistAutoRun::Single(b)) => {
-                prop_assert_eq!(&a.schedule.steps, &b.schedule.steps);
+        let logical_stacks: Vec<Vec<StackEntry>> = match distributed.choice {
+            AutoChoice::LineUnit => vec![solve_line_unit(&p, &cfg).unwrap().stack],
+            AutoChoice::TreeUnit => vec![solve_tree_unit(&p, &cfg).unwrap().stack],
+            AutoChoice::LineArbitrary => {
+                let out = solve_line_arbitrary(&p, &cfg).unwrap();
+                vec![out.wide.stack, out.narrow.stack]
             }
-            (DistAutoRun::Split(a), DistAutoRun::Split(b)) => {
-                prop_assert_eq!(&a.wide.schedule.steps, &b.wide.schedule.steps);
-                prop_assert_eq!(&a.narrow.schedule.steps, &b.narrow.schedule.steps);
+            AutoChoice::TreeArbitrary => {
+                let out = solve_tree_arbitrary(&p, &cfg).unwrap();
+                vec![out.wide.stack, out.narrow.stack]
             }
-            _ => prop_assert!(false, "dispatch shapes diverged"),
+        };
+        let schedules: Vec<&DistSchedule> = match &distributed.run {
+            DistAutoRun::Single(run) => vec![&run.schedule],
+            DistAutoRun::Split(run) => vec![&run.wide.schedule, &run.narrow.schedule],
+        };
+        prop_assert_eq!(schedules.len(), logical_stacks.len(), "dispatch shapes diverged");
+        for (schedule, stack) in schedules.into_iter().zip(&logical_stacks) {
+            prop_assert_eq!(schedule_of(schedule), stack_schedule(stack));
         }
     }
 }

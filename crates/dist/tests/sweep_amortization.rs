@@ -3,8 +3,8 @@
 //! completed steps) is a pure performance knob. For every `k` the pacing
 //! decisions — epochs entered, stages advanced, steps run, pops — must
 //! be identical to the `k = 0` reference (a sweep after every step, the
-//! densest audit), and solutions and λ must match the driver-counted
-//! logical oracle bit-exactly. Termination can neither happen early nor
+//! densest audit), and solutions and λ must match the logical solver
+//! (`solve_auto`) bit-exactly. Termination can neither happen early nor
 //! be missed: every armed sweep's in-network verdict is asserted against
 //! the hint snapshot inside the driver, so a divergence panics the run
 //! rather than skewing results.
@@ -12,9 +12,8 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use treenet_dist::{
-    run_distributed_auto, run_distributed_auto_reference, DistAutoRun, DistConfig, StepRecord,
-};
+use treenet_core::{solve_auto, SolverConfig};
+use treenet_dist::{run_distributed_auto, DistAutoRun, DistConfig, StepRecord};
 use treenet_model::workload::{HeightMode, LineWorkload, TreeWorkload};
 use treenet_model::Problem;
 
@@ -111,8 +110,8 @@ proptest! {
             prop_assert!(sweeps_k >= 1, "no sweep certified {} steps", steps);
         }
         // And the logical oracle agrees with both.
-        let cfg = DistConfig { epsilon: 0.3, seed, ..DistConfig::default() };
-        let oracle = run_distributed_auto_reference(&problem, &cfg).expect("oracle succeeds");
+        let cfg = SolverConfig::default().with_epsilon(0.3).with_seed(seed);
+        let oracle = solve_auto(&problem, &cfg).expect("oracle succeeds");
         prop_assert_eq!(&oracle.solution, &sol_k);
         prop_assert_eq!(oracle.lambda.to_bits(), lambda_k);
     }

@@ -164,11 +164,10 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// Combines the metrics of two sequential engine runs: counters add
-    /// (saturating, so pathological inputs cannot wrap), the maximum
-    /// message size is the larger of the two. Used when a protocol
-    /// executes as several engine passes (e.g. the serial reference path
-    /// of the wide/narrow split schedulers).
+    /// Combines two metric sets: counters add (saturating, so
+    /// pathological inputs cannot wrap), the maximum message size is the
+    /// larger of the two. Used to fold the per-shard deltas of a sharded
+    /// round into the engine totals.
     #[must_use]
     pub fn merged(mut self, other: Metrics) -> Metrics {
         self.rounds = self.rounds.saturating_add(other.rounds);
