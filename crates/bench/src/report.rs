@@ -1,6 +1,5 @@
-//! Markdown table rendering and JSON persistence for experiment output.
+//! Markdown table rendering for experiment output.
 
-use serde::Serialize;
 use std::fmt::Write as _;
 
 /// A simple aligned markdown table builder.
@@ -16,7 +15,7 @@ use std::fmt::Write as _;
 /// assert!(rendered.contains("| n "));
 /// assert!(rendered.contains("1.25"));
 /// ```
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -88,57 +87,10 @@ impl Table {
         out
     }
 
-    /// Renders and prints to stdout; when the `EXP_JSON` environment
-    /// variable is set, additionally persists the table as JSON under
-    /// `target/experiments/<slug>.json` for downstream tooling.
+    /// Renders and prints to stdout.
     pub fn print(&self) {
         println!("{}", self.render());
-        if std::env::var("EXP_JSON").is_ok() {
-            if let Err(e) = self.save_json() {
-                eprintln!("warning: could not persist experiment JSON: {e}");
-            }
-        }
     }
-
-    /// Serializes the table to pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("tables are always serializable")
-    }
-
-    /// Writes the JSON form under `target/experiments/`, slugging the
-    /// title.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn save_json(&self) -> std::io::Result<std::path::PathBuf> {
-        let slug: String = self
-            .title
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() {
-                    c.to_ascii_lowercase()
-                } else {
-                    '-'
-                }
-            })
-            .collect::<String>()
-            .split('-')
-            .filter(|s| !s.is_empty())
-            .take(8)
-            .collect::<Vec<_>>()
-            .join("-");
-        let dir = std::path::Path::new("target").join("experiments");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{slug}.json"));
-        std::fs::write(&path, self.to_json())?;
-        Ok(path)
-    }
-}
-
-/// Formats a float with 3 significant decimals.
-pub fn f3(x: f64) -> String {
-    format!("{x:.3}")
 }
 
 /// Formats a float with 2 decimals.
@@ -172,17 +124,6 @@ mod tests {
 
     #[test]
     fn float_formatting() {
-        assert_eq!(f3(1.23456), "1.235");
         assert_eq!(f2(1.2), "1.20");
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let mut t = Table::new("json demo", &["k", "v"]);
-        t.row(&["a".into(), "1".into()]);
-        let json = t.to_json();
-        assert!(json.contains("json demo"));
-        let back: serde_json::Value = serde_json::from_str(&json).unwrap();
-        assert_eq!(back["rows"][0][1], "1");
     }
 }

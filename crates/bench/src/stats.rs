@@ -33,23 +33,6 @@ pub fn summarize(sample: &[f64]) -> Summary {
     }
 }
 
-/// Least-squares slope of `y` against `x` — used to check claimed
-/// scalings (e.g. rounds vs `log n`).
-///
-/// # Panics
-///
-/// Panics unless both slices have the same length ≥ 2.
-pub fn slope(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    assert!(x.len() >= 2, "need at least two points for a slope");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let cov: f64 = x.iter().zip(y).map(|(a, b)| (a - mx) * (b - my)).sum();
-    let var: f64 = x.iter().map(|a| (a - mx).powi(2)).sum();
-    cov / var
-}
-
 /// Pearson correlation of two equal-length samples.
 ///
 /// # Panics
@@ -86,10 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn slope_of_line() {
+    fn correlation_of_line() {
         let x = [1.0, 2.0, 3.0, 4.0];
         let y = [3.0, 5.0, 7.0, 9.0];
-        assert!((slope(&x, &y) - 2.0).abs() < 1e-12);
         assert!((correlation(&x, &y) - 1.0).abs() < 1e-12);
     }
 }
