@@ -10,7 +10,8 @@
 //! With `--baseline <path>` the bin compares against a committed
 //! baseline and **exits non-zero** when
 //!
-//! * a scenario's rounds or messages regress by more than 10%, or
+//! * a scenario's rounds, messages, heap allocations (`allocs`) or peak
+//!   heap (`peak_heap_mb`) regress by more than 10%, or
 //! * any message exceeds the paper's `O(M)`-bit bound (one demand
 //!   descriptor), or
 //! * a baseline scenario disappeared from the run.
@@ -39,6 +40,16 @@
 //! this ceiling and the huge-grid scale gate included, is reported only
 //! after the JSON report is written.
 //!
+//! The memory columns come from a counting global allocator installed
+//! in this bin only (the protocol crates stay `unsafe`-free): `allocs`
+//! counts allocator calls (`alloc`, `alloc_zeroed`, `realloc`) and
+//! `peak_heap_mb` the peak of live heap bytes above the heap at the
+//! run's start, both over the scenario's 1-thread run (the recorded run,
+//! or at `k > 1` threads the identity rerun) — deterministic, so they
+//! gate like rounds and messages. `vm_hwm_mb` records the process's
+//! peak RSS (`VmHWM`) after the row, which is cumulative over the rows
+//! run so far: recorded, not gated.
+//!
 //! The `O(M)` check is two-sided and registry-driven: the static bit
 //! table in `crates/lint/protocol_registry.toml` (the same file
 //! `treenet-lint` cross-checks against the `DistMsg` source) must
@@ -52,6 +63,9 @@
 //! output file, `--threads <k>` sets the engine threads (default 1, and
 //! [`SPEEDUP_THREADS`] for the huge scenarios), `--shuffle <seed>` turns
 //! on adversarial delivery shuffling.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 use treenet_bench::dist_grid::{
@@ -87,6 +101,91 @@ const SPEEDUP_THREADS: usize = 8;
 /// gated).
 const SPEEDUP_MIN: f64 = 3.0;
 
+/// The system allocator plus exact counters: allocator calls and live
+/// heap bytes with their high-water mark.
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+impl CountingAlloc {
+    fn grew(by: usize) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        let live = LIVE_BYTES.fetch_add(by, Ordering::Relaxed) + by;
+        PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every call forwards to `System` with the caller's arguments
+// unchanged; the counters only observe sizes.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            Self::grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            Self::grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
+            Self::grew(new_size);
+        }
+        new
+    }
+}
+
+/// Heap use of one metered closure.
+#[derive(Copy, Clone, Debug)]
+struct HeapUse {
+    /// Allocator calls made.
+    allocs: u64,
+    /// Peak live heap above the live heap at the start, in MiB.
+    peak_mb: f64,
+}
+
+/// Runs `f`, counting its allocator calls and its peak heap.
+fn metered<T>(f: impl FnOnce() -> T) -> (T, HeapUse) {
+    let base = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(base, Ordering::Relaxed);
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    let peak = PEAK_BYTES.load(Ordering::Relaxed) - base;
+    let heap = HeapUse {
+        allocs: ALLOCS.load(Ordering::Relaxed) - allocs,
+        peak_mb: peak as f64 / (1u64 << 20) as f64,
+    };
+    (out, heap)
+}
+
+/// The process's peak resident set (`VmHWM`) in MiB, where the OS
+/// reports it.
+fn vm_hwm_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Per-scenario measurements as persisted to `BENCH_dist_rounds.json`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct ScenarioReport {
@@ -119,6 +218,13 @@ struct ScenarioReport {
     /// Runs at `threads > 1`: `wall_ms_1t / wall_ms` (`None` at 1
     /// thread).
     speedup: Option<f64>,
+    /// Allocator calls of the 1-thread run.
+    allocs: u64,
+    /// Peak heap of the 1-thread run above the heap at its start, MiB.
+    peak_heap_mb: f64,
+    /// Process peak RSS (`VmHWM`) after this row, MiB — cumulative over
+    /// the rows run before it; `None` where the OS does not report it.
+    vm_hwm_mb: Option<f64>,
 }
 
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -235,13 +341,16 @@ fn run_scenario(s: &Scenario, args: &DistArgs, failures: &mut Vec<String>) -> Sc
         threads,
         ..config(args)
     };
-    let (surface, wall_ms) = timed(|| run(s, &problem, &config));
+    let ((surface, wall_ms), mut heap) = metered(|| timed(|| run(s, &problem, &config)));
     let (wall_ms_1t, speedup) = if threads > 1 {
         let serial_config = DistConfig {
             threads: 1,
             ..config.clone()
         };
-        let (serial, wall_ms_1t) = timed(|| run(s, &problem, &serial_config));
+        // The memory columns are the 1-thread run's.
+        let ((serial, wall_ms_1t), serial_heap) =
+            metered(|| timed(|| run(s, &problem, &serial_config)));
+        heap = serial_heap;
         if serial != surface {
             failures.push(format!(
                 "{}: the run at {threads} threads differs from the 1-thread run",
@@ -274,6 +383,9 @@ fn run_scenario(s: &Scenario, args: &DistArgs, failures: &mut Vec<String>) -> Sc
         threads: threads as u64,
         wall_ms_1t,
         speedup,
+        allocs: heap.allocs,
+        peak_heap_mb: heap.peak_mb,
+        vm_hwm_mb: vm_hwm_mb(),
     }
 }
 
@@ -300,7 +412,8 @@ fn load_registry() -> Registry {
 
 /// The gate: every scenario within the O(M)-bit bound — both the
 /// registry's static widths and the observed traffic — and no >10%
-/// regression in rounds or messages against the baseline rows. Returns
+/// regression in rounds, messages, allocations or peak heap against the
+/// baseline rows. Returns
 /// the failures as human-readable lines.
 fn gate(
     current: &[ScenarioReport],
@@ -340,8 +453,7 @@ fn gate(
             failures.push(format!("{}: scenario missing from this run", old.name));
             continue;
         };
-        let budget = |label: &str, was: u64, now: u64| -> Option<String> {
-            let limit = (was as f64 * (1.0 + TOLERANCE)).ceil() as u64;
+        let over = |label: &str, was: f64, now: f64, limit: f64| -> Option<String> {
             (now > limit).then(|| {
                 format!(
                     "{}: {label} regressed {was} -> {now} (> {:.0}% budget, limit {limit})",
@@ -350,8 +462,19 @@ fn gate(
                 )
             })
         };
-        failures.extend(budget("rounds", old.rounds, new.rounds));
-        failures.extend(budget("messages", old.messages, new.messages));
+        let count = |label: &str, was: u64, now: u64| {
+            let limit = (was as f64 * (1.0 + TOLERANCE)).ceil();
+            over(label, was as f64, now as f64, limit)
+        };
+        failures.extend(count("rounds", old.rounds, new.rounds));
+        failures.extend(count("messages", old.messages, new.messages));
+        failures.extend(count("allocs", old.allocs, new.allocs));
+        failures.extend(over(
+            "peak_heap_mb",
+            old.peak_heap_mb,
+            new.peak_heap_mb,
+            old.peak_heap_mb * (1.0 + TOLERANCE),
+        ));
     }
     failures
 }
@@ -401,6 +524,9 @@ fn main() {
             "threads",
             "wall [ms]",
             "speedup",
+            "allocs",
+            "peak heap [MB]",
+            "VmHWM [MB]",
         ],
     );
     let mut rows = Vec::new();
@@ -419,6 +545,10 @@ fn main() {
             format!("{:.1}", row.wall_ms),
             row.speedup
                 .map_or_else(|| "-".to_string(), |x| format!("{x:.2}x")),
+            row.allocs.to_string(),
+            format!("{:.2}", row.peak_heap_mb),
+            row.vm_hwm_mb
+                .map_or_else(|| "-".to_string(), |x| format!("{x:.0}")),
         ]);
         rows.push(row);
     }
@@ -525,7 +655,10 @@ fn main() {
          schedules) with exact round relations, all messages within the O(M)-bit bound{}",
         read_back.scenarios.len(),
         if args.baseline.is_some() {
-            format!(", within {:.0}% of the baseline", TOLERANCE * 100.0)
+            format!(
+                ", rounds, messages, allocs and peak heap within {:.0}% of the baseline",
+                TOLERANCE * 100.0
+            )
         } else {
             String::new()
         }

@@ -19,7 +19,7 @@ use crate::DistArgs;
 
 /// Schema tag of the budget report (`BENCH_dist_rounds.json`), checked
 /// on read-back by the budget bin and on `--baseline` by the loss bin.
-pub const SCHEMA: &str = "treenet-bench/dist-budget/v2";
+pub const SCHEMA: &str = "treenet-bench/dist-budget/v3";
 
 /// Slackness target `ε` of every grid run.
 pub const EPSILON: f64 = 0.3;

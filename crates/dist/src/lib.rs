@@ -139,7 +139,7 @@ use treenet_mis::MisBackend;
 use treenet_model::{HeightClass, InstanceId, Problem, Solution};
 use treenet_netsim::{Engine, LossModel, Metrics, Topology};
 
-pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag};
+pub use node::{descriptor_bits, Descriptor, DistMsg, RunTag, MAX_INSTANCES};
 
 /// Engine rounds of the in-network combiner phase appended to every
 /// merged wide/narrow run: report to the network leaders, fold and
@@ -466,6 +466,14 @@ pub enum DistError {
         /// Step within the stage (0-based).
         step: u64,
     },
+    /// A demand has more instances than a processor can announce: the
+    /// `Active` participation mask carries [`MAX_INSTANCES`] bits.
+    TooManyInstances {
+        /// The offending demand's id.
+        demand: usize,
+        /// Its instance count.
+        instances: usize,
+    },
 }
 
 impl fmt::Display for DistError {
@@ -480,27 +488,42 @@ impl fmt::Display for DistError {
                 "MIS of step {step} (stage {stage}, epoch {epoch}) exhausted its \
                  iteration budget without quiescing"
             ),
+            DistError::TooManyInstances { demand, instances } => write!(
+                f,
+                "demand {demand} has {instances} instances, over the {MAX_INSTANCES} a \
+                 processor can announce"
+            ),
         }
     }
 }
 
 impl std::error::Error for DistError {}
 
-fn validate(config: &DistConfig) -> Result<(), DistError> {
+/// Rejects what no run can execute — checked before anything is built.
+fn validate(problem: &Problem, config: &DistConfig) -> Result<(), DistError> {
     if !(config.epsilon > 0.0 && config.epsilon < 1.0) {
         return Err(DistError::BadParameters {
             reason: format!("epsilon must lie in (0,1), got {}", config.epsilon),
         });
     }
+    if let Some(a) = problem
+        .demands()
+        .find(|&a| problem.instances_of(a).len() > MAX_INSTANCES)
+    {
+        return Err(DistError::TooManyInstances {
+            demand: a.index(),
+            instances: problem.instances_of(a).len(),
+        });
+    }
     Ok(())
 }
 
-fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> Descriptor {
-    Descriptor {
+fn descriptor_of(problem: &Problem, a: treenet_model::DemandId) -> Arc<Descriptor> {
+    Arc::new(Descriptor {
         id: a,
         demand: *problem.demand(a),
         access: problem.access(a).to_vec(),
-    }
+    })
 }
 
 fn rooted_views(problem: &Problem) -> Vec<RootedTree> {
@@ -520,6 +543,22 @@ fn comm_adjacency(problem: &Problem) -> Vec<Vec<usize>> {
         .collect()
 }
 
+/// The run's public information over `layering`: rooted networks, the
+/// convergecast forest, and every demand's views derived once.
+fn public_info(problem: &Problem, config: &DistConfig, layering: Layering) -> Arc<PublicInfo> {
+    Arc::new(PublicInfo::new(
+        rooted_views(problem),
+        layering,
+        config.seed,
+        config.mis_backend,
+        ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
+        problem
+            .demands()
+            .map(|a| descriptor_of(problem, a))
+            .collect(),
+    ))
+}
+
 /// Tree public info: decompositions per `config.strategy` plus the
 /// layered decomposition (for `Δ` and the group count — both public).
 fn tree_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, LayeredDecomposition) {
@@ -532,13 +571,7 @@ fn tree_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, Laye
         .iter()
         .map(treenet_decomp::TreeDecomposition::depth)
         .collect();
-    let public = Arc::new(PublicInfo {
-        rooted: rooted_views(problem),
-        layering: Layering::Tree { decomps, depths },
-        seed: config.seed,
-        backend: config.mis_backend,
-        forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
-    });
+    let public = public_info(problem, config, Layering::Tree { decomps, depths });
     (public, layers)
 }
 
@@ -549,15 +582,8 @@ fn tree_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, Laye
 /// Panics if some network is not a canonical line.
 fn line_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, LayeredDecomposition) {
     let layers = LayeredDecomposition::for_lines(problem);
-    let public = Arc::new(PublicInfo {
-        rooted: rooted_views(problem),
-        layering: Layering::Line {
-            lmin: line_lmin(problem),
-        },
-        seed: config.seed,
-        backend: config.mis_backend,
-        forest: ConvergecastForest::from_adjacency(&comm_adjacency(problem)),
-    });
+    let lmin = line_lmin(problem);
+    let public = public_info(problem, config, Layering::Line { lmin });
     (public, layers)
 }
 
@@ -565,10 +591,10 @@ fn line_public(problem: &Problem, config: &DistConfig) -> (Arc<PublicInfo>, Laye
 /// + optional lossy links under the reliable sublayer) for a node set.
 fn build_engine(
     nodes: Vec<ProcessorNode>,
-    problem: &Problem,
+    adjacency: Vec<Vec<usize>>,
     config: &DistConfig,
 ) -> Engine<ProcessorNode> {
-    let topology = Topology::from_adjacency(comm_adjacency(problem));
+    let topology = Topology::from_adjacency(adjacency);
     let mut engine = Engine::new(nodes, topology)
         .with_threads(config.threads)
         .with_arq_window(config.arq_window);
@@ -980,6 +1006,7 @@ fn execute_in_network(
     plans: Vec<HalfPlan>,
 ) -> Result<(Vec<HalfResult>, Option<Solution>, Metrics), DistError> {
     let split = plans.len() > 1;
+    let adjacency = comm_adjacency(problem);
     let nodes: Vec<ProcessorNode> = problem
         .demands()
         .map(|a| {
@@ -992,14 +1019,15 @@ fn execute_in_network(
                 .expect("every demand belongs to exactly one half");
             ProcessorNode::new(
                 Arc::clone(public),
-                descriptor_of(problem, a),
+                a.index(),
                 problem.instances_of(a).to_vec(),
+                adjacency[a.index()].len(),
                 plan.rule,
                 plan.tag,
             )
         })
         .collect();
-    let mut engine = build_engine(nodes, problem, config);
+    let mut engine = build_engine(nodes, adjacency, config);
 
     // Setup round: every processor broadcasts its demand descriptor to
     // its communication neighbors (one O(M)-bit message each) — shared
@@ -1209,6 +1237,8 @@ fn run_split(
 /// # Errors
 ///
 /// [`DistError::BadParameters`] for an out-of-range `ε`;
+/// [`DistError::TooManyInstances`] if a demand has more than
+/// [`MAX_INSTANCES`] instances;
 /// [`DistError::StageDiverged`] if a stage exceeds the step budget;
 /// [`DistError::MisBudgetExhausted`] if the MIS backend stops making
 /// progress (impossible for the shipped backends).
@@ -1216,7 +1246,7 @@ pub fn run_distributed_tree_unit(
     problem: &Problem,
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
-    validate(config)?;
+    validate(problem, config)?;
     let (public, layers) = tree_public(problem, config);
     run_solo(problem, config, &public, &layers)
 }
@@ -1240,7 +1270,7 @@ pub fn run_distributed_line_unit(
     problem: &Problem,
     config: &DistConfig,
 ) -> Result<DistOutcome, DistError> {
-    validate(config)?;
+    validate(problem, config)?;
     let (public, layers) = line_public(problem, config);
     run_solo(problem, config, &public, &layers)
 }
@@ -1262,7 +1292,7 @@ pub fn run_distributed_tree_arbitrary(
     problem: &Problem,
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
+    validate(problem, config)?;
     let (public, layers) = tree_public(problem, config);
     run_split(problem, config, &public, &layers)
 }
@@ -1286,7 +1316,7 @@ pub fn run_distributed_line_arbitrary(
     problem: &Problem,
     config: &DistConfig,
 ) -> Result<DistCombinedOutcome, DistError> {
-    validate(config)?;
+    validate(problem, config)?;
     let (public, layers) = line_public(problem, config);
     run_split(problem, config, &public, &layers)
 }

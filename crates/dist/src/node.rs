@@ -13,6 +13,12 @@
 //!   setup round (one `O(M)`-bit message each), and the per-round
 //!   liveness/raise/selection announcements of the protocol proper.
 //!
+//! The instance views a descriptor determines are a pure function of it
+//! and public information ([`PublicInfo::views`]), so the run derives
+//! every demand's views once, into the shared [`ViewArena`], before any
+//! node is built. A node reads its own entry, and a neighbor's entry only
+//! once that neighbor's descriptor has arrived.
+//!
 //! From raise announcements a node tracks the dual values `β(e)` for
 //! exactly the edges on its own paths — sufficient because any raise
 //! touching such an edge comes from an overlapping instance, whose owner
@@ -53,7 +59,6 @@
 //! and delays beneath it, delivering byte-identical inboxes — which is
 //! why fault tolerance required no change here at all.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use treenet_core::RaiseRule;
@@ -133,12 +138,50 @@ pub(crate) struct PublicInfo {
     pub backend: MisBackend,
     /// BFS spanning forest used for echo/convergecast sweeps.
     pub forest: ConvergecastForest,
+    /// Every demand's instance views, derived once per run (see
+    /// [`ViewArena`]).
+    pub arena: ViewArena,
 }
 
 impl PublicInfo {
+    /// Assembles the public information and derives the view arena of
+    /// `descriptors` (one per demand, in demand-id order).
+    pub fn new(
+        rooted: Vec<RootedTree>,
+        layering: Layering,
+        seed: u64,
+        backend: MisBackend,
+        forest: ConvergecastForest,
+        descriptors: Vec<Arc<Descriptor>>,
+    ) -> Self {
+        let mut public = PublicInfo {
+            rooted,
+            layering,
+            seed,
+            backend,
+            forest,
+            arena: ViewArena::default(),
+        };
+        let mut views = Vec::new();
+        let mut offsets = Vec::with_capacity(descriptors.len() + 1);
+        offsets.push(0);
+        for (a, descriptor) in descriptors.iter().enumerate() {
+            debug_assert_eq!(descriptor.id.index(), a, "descriptors in demand-id order");
+            views.extend(public.views(descriptor));
+            offsets.push(views.len());
+        }
+        public.arena = ViewArena {
+            descriptors,
+            views,
+            offsets,
+        };
+        public
+    }
+
     /// Derives the instance views of a demand descriptor, in the canonical
     /// order (accessible networks ascending, window starts ascending) that
-    /// both the owner and every receiver reproduce independently.
+    /// both the owner and every receiver reproduce independently. The
+    /// specification of [`ViewArena`]'s entries.
     pub fn views(&self, descriptor: &Descriptor) -> Vec<InstView> {
         let mut views = Vec::new();
         for &t in &descriptor.access {
@@ -193,6 +236,35 @@ impl PublicInfo {
             height: descriptor.demand.height,
             profit: descriptor.demand.profit,
         }
+    }
+}
+
+/// The run's memo of [`PublicInfo::views`]: every demand's descriptor and
+/// instance views, derived once before any node is built. A view is a
+/// pure function of its descriptor and public information, so every
+/// processor that derives it gets the same value; the simulation derives
+/// it once instead of once per (demand, neighbor) pair. Nodes hold no
+/// copies: an owner reads its own entry, and a receiver reads a
+/// neighbor's entry only once that neighbor's descriptor arrived.
+#[derive(Debug, Default)]
+pub(crate) struct ViewArena {
+    /// Every demand's descriptor, indexed by demand id.
+    descriptors: Vec<Arc<Descriptor>>,
+    /// Every demand's views, concatenated in demand-id order.
+    views: Vec<InstView>,
+    /// Demand `a`'s views are `views[offsets[a]..offsets[a + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl ViewArena {
+    /// Demand `a`'s descriptor.
+    pub fn descriptor(&self, a: usize) -> &Arc<Descriptor> {
+        &self.descriptors[a]
+    }
+
+    /// Demand `a`'s instance views, in canonical order.
+    pub fn of(&self, a: usize) -> &[InstView] {
+        &self.views[self.offsets[a]..self.offsets[a + 1]]
     }
 }
 
@@ -256,8 +328,9 @@ impl InstView {
 #[derive(Clone, Debug)]
 pub enum DistMsg {
     /// Setup round: the sender's demand descriptor (shared by all
-    /// sub-runs).
-    Descriptor(Descriptor),
+    /// sub-runs). Shared rather than copied: every recipient's copy and
+    /// every retransmission is one reference count.
+    Descriptor(Arc<Descriptor>),
     /// Prologue layer (BFS/leader election): the sender's current best
     /// label — the smallest processor id it has heard of (the eventual
     /// component leader) and its hop distance to it. Flooded from the
@@ -341,6 +414,10 @@ pub enum DistMsg {
         wide_wins: bool,
     },
 }
+
+/// The most instances one demand may have in a distributed run: the
+/// `Active` participation mask carries one bit per instance.
+pub const MAX_INSTANCES: usize = 64;
 
 /// The size in bits of one demand descriptor over `networks` accessible
 /// networks: kind/id header + profit + height (160 bits) plus one word
@@ -439,17 +516,83 @@ struct EchoState {
     announced_down: bool,
 }
 
-/// Resolves a neighbor's instance view from the received-descriptor map.
-/// A free function over the field (rather than a `&self` method) so call
-/// sites keep disjoint mutable borrows of the node's other fields.
-fn neighbor_view(
-    neighbors: &BTreeMap<usize, Vec<InstView>>,
-    node: usize,
-    idx: u8,
-) -> Option<&InstView> {
-    neighbors
-        .get(&node)
-        .and_then(|views| views.get(idx as usize))
+/// What a node learned about its communication neighbors, by slot. Slot
+/// `k` is the `k`-th of the node's sorted topology neighbors
+/// ([`Context::neighbors`]), so a sender's slot is one binary search away,
+/// slot order is ascending id order, and the ids are not stored twice.
+#[derive(Debug)]
+struct NeighborSlots {
+    /// Whether slot `k`'s descriptor arrived — only then are its
+    /// instance views readable.
+    received: Vec<bool>,
+    /// Slot `k`'s instances participating in the current step's MIS
+    /// (bit `i` = instance `i`).
+    active: Vec<u64>,
+}
+
+impl NeighborSlots {
+    fn new(degree: usize) -> Self {
+        NeighborSlots {
+            received: vec![false; degree],
+            active: vec![0; degree],
+        }
+    }
+
+    /// The instance views of `node`, the neighbor in slot `k`: empty
+    /// until its descriptor arrived.
+    fn views<'a>(&self, arena: &'a ViewArena, k: usize, node: usize) -> &'a [InstView] {
+        if self.received[k] {
+            arena.of(node)
+        } else {
+            &[]
+        }
+    }
+
+    /// Resolves neighbor `node`'s instance view `idx`, if its descriptor
+    /// arrived. Borrows only the slots (not the node), so call sites keep
+    /// disjoint mutable borrows of the node's other fields.
+    fn view<'a>(
+        &self,
+        arena: &'a ViewArena,
+        neighbors: &[usize],
+        node: usize,
+        idx: u8,
+    ) -> Option<&'a InstView> {
+        let k = slot_of(neighbors, node)?;
+        self.views(arena, k, node).get(idx as usize)
+    }
+}
+
+/// The slot of `node` among the sorted `neighbors`, if it is one.
+fn slot_of(neighbors: &[usize], node: usize) -> Option<usize> {
+    neighbors.binary_search(&node).ok()
+}
+
+/// One edge on an own path, with the dual and capacity tracked for it.
+#[derive(Copy, Clone, Debug)]
+struct OwnEdge {
+    /// `(network, edge)`.
+    key: (u32, u32),
+    /// β(e).
+    beta: f64,
+    /// Phase-2 residual capacity.
+    residual: f64,
+}
+
+/// The slot of `(network, edge)` among a node's sorted own path edges.
+fn edge_slot(own_edges: &[OwnEdge], network: u32, edge: EdgeId) -> Option<usize> {
+    own_edges
+        .binary_search_by_key(&(network, edge.0), |e| e.key)
+        .ok()
+}
+
+/// The bitmask of the first `len` instances.
+fn low_bits(len: usize) -> u64 {
+    if len >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << len) - 1
+    }
 }
 
 /// Per-instance state within the current step's MIS computation.
@@ -464,7 +607,6 @@ enum MisState {
 struct OwnInstance {
     /// Dense instance id, carried only for reporting the final solution.
     id: InstanceId,
-    view: InstView,
     state: MisState,
     /// Raised at these global step indices (phase-2 pop schedule).
     raised_at: Vec<u32>,
@@ -484,29 +626,25 @@ struct Contribution {
 /// One processor of the message-passing scheduler.
 pub(crate) struct ProcessorNode {
     public: Arc<PublicInfo>,
-    descriptor: Descriptor,
+    descriptor: Arc<Descriptor>,
     /// The sub-run this node's demand belongs to (Primary for solo runs
     /// and the wide half; Narrow for the narrow half of a merged run).
     tag: RunTag,
     /// The run's raising rule (fixes δ, the β increment and the dual LHS
     /// form — taken from the shared `treenet-core` definitions).
     rule: RaiseRule,
+    /// Per-instance state; instance `i`'s view is the arena's
+    /// `of(me)[i]`.
     own: Vec<OwnInstance>,
     /// α of the own demand.
     alpha: f64,
-    /// β(e) for every edge on an own path, keyed by (network, edge).
-    beta: BTreeMap<(u32, u32), f64>,
-    /// Phase-2 residual capacity for every edge on an own path.
-    residual: BTreeMap<(u32, u32), f64>,
-    /// Neighbor views, derived from received descriptors.
-    neighbors: BTreeMap<usize, Vec<InstView>>,
-    /// Instances of neighbors participating in the current step's MIS.
-    neighbor_active: BTreeMap<(usize, u8), bool>,
+    /// Every edge on an own path, sorted by `(network, edge)` and
+    /// deduplicated, with its β and residual capacity.
+    own_edges: Vec<OwnEdge>,
+    /// What the node learned about its communication neighbors.
+    slots: NeighborSlots,
     /// Deaths to announce in the next cleanup round.
     pending_died: Vec<u8>,
-    /// Reusable winner buffer for the Luby evaluation rounds (steady-state
-    /// rounds allocate nothing).
-    scratch_winners: Vec<usize>,
     /// Luby iteration counter within the current step.
     iteration: u64,
     /// MIS namespace tag of the current step.
@@ -519,18 +657,20 @@ pub(crate) struct ProcessorNode {
     global_step: u32,
     /// Whether this node's demand already entered the solution.
     demand_used: bool,
-    selected: Vec<InstanceId>,
+    /// The own instance phase 2 selected, if any (at most one: a demand
+    /// enters the solution at most once).
+    selected: Option<InstanceId>,
     /// Per-tag termination-detection sweep state (every node relays both
     /// halves' sweeps).
     echo: [EchoState; 2],
     /// Prologue: own best `(leader, dist)` label, lexicographic minimum
     /// over everything heard so far; starts at `(me, 0)`.
     bfs_label: (u32, u32),
+    /// Prologue: the smallest-id neighbor that offered the own label —
+    /// the parent once the flood settles (meaningless at distance 0).
+    bfs_via: u32,
     /// Prologue: whether the own label must be (re)broadcast.
     bfs_changed: bool,
-    /// Prologue: best label heard per neighbor (labels only improve, so
-    /// the minimum is the neighbor's final label once the flood settles).
-    neighbor_bfs: BTreeMap<usize, (u32, u32)>,
     /// Combiner contributions collected at this node for the networks it
     /// leads, in arrival order (sorted canonically before folding).
     contributions: Vec<Contribution>,
@@ -540,71 +680,72 @@ pub(crate) struct ProcessorNode {
 }
 
 impl ProcessorNode {
-    /// Builds the processor for one demand from the public inputs and
-    /// its private descriptor, pre-deriving every instance view.
+    /// Builds the processor for demand `a` from the public inputs, its
+    /// instance ids and its number of communication neighbors. Its
+    /// instance views are the arena's entry for `a`.
     pub fn new(
         public: Arc<PublicInfo>,
-        descriptor: Descriptor,
+        a: usize,
         ids: Vec<InstanceId>,
+        degree: usize,
         rule: RaiseRule,
         tag: RunTag,
     ) -> Self {
-        let views = public.views(&descriptor);
+        let views = public.arena.of(a);
         assert_eq!(
             views.len(),
             ids.len(),
             "canonical enumeration matches the problem"
         );
         assert!(
-            views.len() <= 64,
-            "at most 64 instances per processor (mask width)"
+            views.len() <= MAX_INSTANCES,
+            "at most {MAX_INSTANCES} instances per processor (mask width)"
         );
-        let mut beta = BTreeMap::new();
-        let mut residual = BTreeMap::new();
-        for view in &views {
-            for &e in &view.edges {
-                beta.insert((view.network.0, e.0), 0.0f64);
-                residual.insert((view.network.0, e.0), 1.0f64);
-            }
-        }
+        let mut own_edges: Vec<OwnEdge> = views
+            .iter()
+            .flat_map(|view| {
+                view.edges.iter().map(|e| OwnEdge {
+                    key: (view.network.0, e.0),
+                    beta: 0.0,
+                    residual: 1.0,
+                })
+            })
+            .collect();
+        own_edges.sort_unstable_by_key(|e| e.key);
+        own_edges.dedup_by_key(|e| e.key);
         let own = ids
             .into_iter()
-            .zip(views)
-            .map(|(id, view)| OwnInstance {
+            .map(|id| OwnInstance {
                 id,
-                view,
                 state: MisState::Out,
                 raised_at: Vec::new(),
             })
             .collect();
-        let me = descriptor.id.index() as u32;
+        let descriptor = Arc::clone(public.arena.descriptor(a));
         ProcessorNode {
-            public,
             descriptor,
             tag,
             rule,
             own,
             alpha: 0.0,
-            beta,
-            residual,
-            neighbors: BTreeMap::new(),
-            neighbor_active: BTreeMap::new(),
+            own_edges,
+            slots: NeighborSlots::new(degree),
             pending_died: Vec::new(),
-            scratch_winners: Vec::new(),
             iteration: 0,
             mis_namespace: 0,
             threshold: 0.0,
             epoch: 0,
             global_step: 0,
             demand_used: false,
-            selected: Vec::new(),
+            selected: None,
             echo: [EchoState::default(), EchoState::default()],
-            bfs_label: (me, 0),
+            bfs_label: (a as u32, 0),
+            bfs_via: u32::MAX,
             bfs_changed: true,
-            neighbor_bfs: BTreeMap::new(),
             contributions: Vec::new(),
             choices: Vec::new(),
             mode: Mode::Setup,
+            public,
         }
     }
 
@@ -612,6 +753,21 @@ impl ProcessorNode {
     #[inline]
     fn me(&self) -> usize {
         self.descriptor.id.index()
+    }
+
+    /// The own instance views, in canonical order.
+    #[inline]
+    fn own_views(&self) -> &[InstView] {
+        self.public.arena.of(self.me())
+    }
+
+    /// The slot of own path edge `(network, edge)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the edge is on no own path.
+    fn own_edge(&self, network: u32, edge: EdgeId) -> usize {
+        edge_slot(&self.own_edges, network, edge).expect("own path edges are tracked")
     }
 
     /// The sub-run this node's demand belongs to.
@@ -624,11 +780,11 @@ impl ProcessorNode {
     /// for the narrow rule) as the logical `DualState::lhs`, so the float
     /// result is bit-identical.
     fn lhs(&self, i: usize) -> f64 {
-        let view = &self.own[i].view;
+        let view = &self.own_views()[i];
         let beta_sum: f64 = view
             .edges
             .iter()
-            .map(|e| self.beta[&(view.network.0, e.0)])
+            .map(|&e| self.own_edges[self.own_edge(view.network.0, e)].beta)
             .sum();
         let scale = match self.rule {
             RaiseRule::Unit => 1.0,
@@ -639,23 +795,24 @@ impl ProcessorNode {
 
     /// Satisfaction ratio of own instance `i`.
     pub fn satisfaction(&self, i: usize) -> f64 {
-        self.lhs(i) / self.own[i].view.profit
+        self.lhs(i) / self.own_views()[i].profit
     }
 
     /// Whether any own instance belongs to epoch group `k` — the
     /// node-local pacing hint the driver reads between rounds (the same
     /// bit the `Active` broadcasts disseminate, audited by echo sweeps).
     pub fn has_group(&self, k: u32) -> bool {
-        self.own.iter().any(|inst| inst.view.group == k)
+        self.own_views().iter().any(|view| view.group == k)
     }
 
     /// Number of own group-`k` instances below `threshold`-satisfaction —
     /// the same predicate the announce round and [`Self::begin_echo`]
     /// use, so a sweep's verdict must reproduce the summed hints exactly.
     pub fn count_unsatisfied(&self, k: u32, threshold: f64) -> usize {
-        (0..self.own.len())
+        let views = self.own_views();
+        (0..views.len())
             .filter(|&i| {
-                self.own[i].view.group == k && self.satisfaction(i) < threshold - SATISFACTION_GUARD
+                views[i].group == k && self.satisfaction(i) < threshold - SATISFACTION_GUARD
             })
             .count()
     }
@@ -675,24 +832,34 @@ impl ProcessorNode {
     /// The prologue's local parent pick — the smallest-id neighbor one
     /// hop closer to the leader, the exact rule of
     /// [`ConvergecastForest::from_adjacency`] — or `None` for leaders.
+    ///
+    /// The intake keeps the minimum `(label, sender)` over every label
+    /// offered, so this is the smallest-id neighbor whose final label is
+    /// one hop closer: labels only improve and every improvement is
+    /// broadcast, so a neighbor that ever offered `(root, dist - 1)` still
+    /// holds it (a better label would have improved the own label too).
     pub fn bfs_parent(&self) -> Option<usize> {
-        let (root, dist) = self.bfs_label;
-        if dist == 0 {
-            return None;
-        }
-        self.neighbor_bfs
-            .iter()
-            .filter(|&(_, &(r, d))| r == root && d + 1 == dist)
-            .map(|(&n, _)| n)
-            .min()
+        (self.bfs_label.1 > 0).then_some(self.bfs_via as usize)
     }
 
     /// Instances selected by phase 2 for this node's sub-run.
     pub fn selected(&self) -> &[InstanceId] {
-        &self.selected
+        self.selected.as_slice()
     }
 
-    /// The selected instances that survive the in-network per-network
+    /// The own instance index of selected instance `d`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d` is not an own instance.
+    fn own_index(&self, d: InstanceId) -> usize {
+        self.own
+            .iter()
+            .position(|inst| inst.id == d)
+            .expect("selected instances are own instances")
+    }
+
+    /// The selected instance, if it survives the in-network per-network
     /// combination: an instance on network `t` is kept iff the broadcast
     /// choice for `t` favors this node's half.
     ///
@@ -702,26 +869,17 @@ impl ProcessorNode {
     /// impossible in a completed run, because a node with a selection on
     /// `t` is an accessor of `t` and therefore receives its leader's
     /// broadcast.
-    pub fn combined_selected(&self) -> Vec<InstanceId> {
-        self.selected
-            .iter()
-            .filter(|&&d| {
-                let i = self
-                    .own
-                    .iter()
-                    .position(|inst| inst.id == d)
-                    .expect("selected instances are own instances");
-                let t = self.own[i].view.network.0;
-                let wide_wins = self
-                    .choices
-                    .iter()
-                    .find(|(network, _)| *network == t)
-                    .map(|(_, w)| *w)
-                    .expect("combine choice arrived for the own selection's network");
-                wide_wins == (self.tag == RunTag::Primary)
-            })
-            .copied()
-            .collect()
+    pub fn combined_selected(&self) -> Option<InstanceId> {
+        self.selected.filter(|&d| {
+            let t = self.own_views()[self.own_index(d)].network.0;
+            let wide_wins = self
+                .choices
+                .iter()
+                .find(|(network, _)| *network == t)
+                .map(|(_, w)| *w)
+                .expect("combine choice arrived for the own selection's network");
+            wide_wins == (self.tag == RunTag::Primary)
+        })
     }
 
     /// The driver's sweep-start signal (public schedule only): snapshot
@@ -732,8 +890,8 @@ impl ProcessorNode {
         let (unsatisfied, members) = if self.tag == run {
             let mut unsatisfied = 0u32;
             let mut members = false;
-            for i in 0..self.own.len() {
-                if self.own[i].view.group == k {
+            for (i, view) in self.own_views().iter().enumerate() {
+                if view.group == k {
                     members = true;
                     if self.satisfaction(i) < threshold - SATISFACTION_GUARD {
                         unsatisfied += 1;
@@ -775,7 +933,7 @@ impl ProcessorNode {
         self.threshold = threshold;
         self.global_step = global_step;
         self.iteration = 0;
-        self.neighbor_active.clear();
+        self.slots.active.fill(0);
         self.pending_died.clear();
         for inst in &mut self.own {
             inst.state = MisState::Out;
@@ -787,29 +945,30 @@ impl ProcessorNode {
     /// critical edges, restricted to the edges this node tracks. The β
     /// increment is re-derived from the broadcast δ and the public `|π|`
     /// via the shared `RaiseRule::beta_increment`, so it is bit-identical
-    /// to the logical raise. (Field-disjoint borrows of `neighbors` and
-    /// `beta` keep this loop allocation-free.)
-    fn apply_neighbor_raise(&mut self, node: usize, idx: u8, delta: f64) {
-        let Some(view) = neighbor_view(&self.neighbors, node, idx) else {
+    /// to the logical raise.
+    fn apply_neighbor_raise(&mut self, neighbors: &[usize], node: usize, idx: u8, delta: f64) {
+        let Some(view) = self.slots.view(&self.public.arena, neighbors, node, idx) else {
             return;
         };
         let beta_inc = self.rule.beta_increment(view.critical.len() as f64, delta);
         let network = view.network.0;
         for &e in &view.critical {
-            if let Some(slot) = self.beta.get_mut(&(network, e.0)) {
-                *slot += beta_inc;
+            if let Some(slot) = edge_slot(&self.own_edges, network, e) {
+                self.own_edges[slot].beta += beta_inc;
             }
         }
     }
 
     /// Kills own active instances conflicting with a neighbor's MIS
     /// winner; the deaths are announced in the next cleanup round.
-    fn kill_conflicting_with(&mut self, node: usize, idx: u8) {
-        let Some(winner) = neighbor_view(&self.neighbors, node, idx) else {
+    fn kill_conflicting_with(&mut self, neighbors: &[usize], node: usize, idx: u8) {
+        let arena = &self.public.arena;
+        let Some(winner) = self.slots.view(arena, neighbors, node, idx) else {
             return;
         };
+        let views = arena.of(self.me());
         for (i, inst) in self.own.iter_mut().enumerate() {
-            if inst.state == MisState::Active && inst.view.overlaps(winner) {
+            if inst.state == MisState::Active && views[i].overlaps(winner) {
                 inst.state = MisState::Dead;
                 self.pending_died.push(i as u8);
             }
@@ -818,43 +977,58 @@ impl ProcessorNode {
 
     /// Win test for own instance `i` against the frozen activity view —
     /// exactly the central `luby_mis`/`deterministic_mis` predicate.
-    fn wins(&self, i: usize) -> bool {
+    fn wins(&self, i: usize, neighbors: &[usize]) -> bool {
         let backend = self.public.backend;
         let (seed, tag, it) = (self.public.seed, self.mis_namespace, self.iteration);
-        let my_key = self.own[i].view.key;
+        let views = self.own_views();
+        let mine = &views[i];
         // Own siblings always conflict (same demand).
         for (j, other) in self.own.iter().enumerate() {
             if j != i
                 && other.state == MisState::Active
-                && !backend.beats(seed, tag, it, my_key, other.view.key)
+                && !backend.beats(seed, tag, it, mine.key, views[j].key)
             {
                 return false;
             }
         }
         // Active neighbor instances that overlap.
-        for (&(node, idx), _) in self.neighbor_active.iter().filter(|(_, &alive)| alive) {
-            let Some(view) = neighbor_view(&self.neighbors, node, idx) else {
+        for (k, &node) in neighbors.iter().enumerate() {
+            let mut mask = self.slots.active[k];
+            if mask == 0 {
                 continue;
-            };
-            if self.own[i].view.overlaps(view) && !backend.beats(seed, tag, it, my_key, view.key) {
-                return false;
+            }
+            let theirs = self.slots.views(&self.public.arena, k, node);
+            while mask != 0 {
+                let view = &theirs[mask.trailing_zeros() as usize];
+                mask &= mask - 1;
+                if mine.overlaps(view) && !backend.beats(seed, tag, it, mine.key, view.key) {
+                    return false;
+                }
             }
         }
         true
+    }
+
+    /// Whether `node`, the neighbor in slot `k`, showed an instance on
+    /// network `t` in its descriptor.
+    fn accesses(&self, k: usize, node: usize, t: u32) -> bool {
+        self.slots
+            .views(&self.public.arena, k, node)
+            .iter()
+            .any(|v| v.network.0 == t)
     }
 
     /// The leader of network `t`: the minimum demand id among `t`'s
     /// accessors. Computable locally by every accessor because accessors
     /// of a shared network are mutual communication neighbors, so their
     /// descriptors all arrived in the setup round.
-    fn leader_of(&self, t: u32) -> usize {
-        let mut leader = self.me();
-        for (&node, views) in &self.neighbors {
-            if node < leader && views.iter().any(|v| v.network.0 == t) {
-                leader = node;
-            }
-        }
-        leader
+    fn leader_of(&self, t: u32, neighbors: &[usize]) -> usize {
+        let me = self.me();
+        neighbors
+            .iter()
+            .enumerate()
+            .find(|&(k, &node)| self.accesses(k, node, t))
+            .map_or(me, |(_, &first)| first.min(me))
     }
 
     /// Always-on echo layer: relays convergecast reports and verdict
@@ -903,13 +1077,13 @@ impl ProcessorNode {
     }
 
     fn round_setup(&mut self, ctx: &mut Context<'_, DistMsg>) {
-        ctx.broadcast(DistMsg::Descriptor(self.descriptor.clone()));
+        ctx.broadcast(DistMsg::Descriptor(Arc::clone(&self.descriptor)));
     }
 
     fn round_announce(&mut self, ctx: &mut Context<'_, DistMsg>) {
         let mut mask = 0u64;
         for i in 0..self.own.len() {
-            if self.own[i].view.group == self.epoch
+            if self.own_views()[i].group == self.epoch
                 && self.satisfaction(i) < self.threshold - SATISFACTION_GUARD
             {
                 self.own[i].state = MisState::Active;
@@ -928,44 +1102,43 @@ impl ProcessorNode {
         for env in inbox {
             match &env.msg {
                 DistMsg::Active { run, mask } if *run == self.tag => {
-                    if let Some(views) = self.neighbors.get(&env.from) {
-                        for idx in 0..views.len().min(64) {
-                            if mask & (1 << idx) != 0 {
-                                self.neighbor_active.insert((env.from, idx as u8), true);
-                            }
-                        }
+                    if let Some(k) = slot_of(ctx.neighbors(), env.from) {
+                        let len = self.slots.views(&self.public.arena, k, env.from).len();
+                        self.slots.active[k] |= mask & low_bits(len);
                     }
                 }
                 DistMsg::Died { run, idx } if *run == self.tag => {
-                    self.neighbor_active.insert((env.from, *idx), false);
+                    self.deactivate(ctx.neighbors(), env.from, *idx);
                 }
                 _ => {}
             }
         }
-        // Frozen-snapshot evaluation: collect all winners first, into the
-        // reusable scratch buffer (take/put-back keeps the borrow checker
-        // happy without reallocating).
-        let mut winners = std::mem::take(&mut self.scratch_winners);
-        winners.clear();
-        winners.extend(
-            (0..self.own.len()).filter(|&i| self.own[i].state == MisState::Active && self.wins(i)),
-        );
-        for &i in &winners {
+        // Frozen-snapshot evaluation: collect all winners first (one bit
+        // per own instance), then raise them in ascending order.
+        let mut winners = 0u64;
+        for i in 0..self.own.len() {
+            if self.own[i].state == MisState::Active && self.wins(i, ctx.neighbors()) {
+                winners |= 1 << i;
+            }
+        }
+        let views = self.public.arena.of(self.me());
+        while winners != 0 {
+            let i = winners.trailing_zeros() as usize;
+            winners &= winners - 1;
+            let view = &views[i];
             self.own[i].state = MisState::InMis;
             self.own[i].raised_at.push(self.global_step);
             // The run's raising rule, via the shared definitions:
             // δ = slack/(|π|+1) (unit) or slack/(1+2h|π|²) (narrow).
-            let slack = self.own[i].view.profit - self.lhs(i);
-            let pi = self.own[i].view.critical.len() as f64;
-            let delta = self.rule.delta_for(slack, self.own[i].view.height, pi);
+            let slack = view.profit - self.lhs(i);
+            let pi = view.critical.len() as f64;
+            let delta = self.rule.delta_for(slack, view.height, pi);
             let beta_inc = self.rule.beta_increment(pi, delta);
             self.alpha += delta;
-            let network = self.own[i].view.network.0;
-            for &e in &self.own[i].view.critical {
-                *self
-                    .beta
-                    .get_mut(&(network, e.0))
-                    .expect("critical edges lie on own paths") += beta_inc;
+            // Critical edges lie on the own path.
+            for &e in &view.critical {
+                let slot = self.own_edge(view.network.0, e);
+                self.own_edges[slot].beta += beta_inc;
             }
             ctx.broadcast(DistMsg::Joined {
                 run: self.tag,
@@ -981,7 +1154,13 @@ impl ProcessorNode {
                 }
             }
         }
-        self.scratch_winners = winners;
+    }
+
+    /// Marks neighbor `node`'s instance `idx` as out of the current MIS.
+    fn deactivate(&mut self, neighbors: &[usize], node: usize, idx: u8) {
+        if let Some(k) = slot_of(neighbors, node) {
+            self.slots.active[k] &= !(1u64 << idx);
+        }
     }
 
     fn round_luby_cleanup(&mut self, inbox: &[Envelope<DistMsg>], ctx: &mut Context<'_, DistMsg>) {
@@ -990,9 +1169,10 @@ impl ProcessorNode {
                 if run != self.tag {
                     continue;
                 }
-                self.neighbor_active.insert((env.from, idx), false);
-                self.apply_neighbor_raise(env.from, idx, delta);
-                self.kill_conflicting_with(env.from, idx);
+                let neighbors = ctx.neighbors();
+                self.deactivate(neighbors, env.from, idx);
+                self.apply_neighbor_raise(neighbors, env.from, idx, delta);
+                self.kill_conflicting_with(neighbors, env.from, idx);
             }
         }
         // Drain without dropping the buffer's capacity.
@@ -1011,45 +1191,40 @@ impl ProcessorNode {
         inbox: &[Envelope<DistMsg>],
         ctx: &mut Context<'_, DistMsg>,
     ) {
+        let arena = &self.public.arena;
         for env in inbox {
             if let DistMsg::Selected { run, idx } = env.msg {
                 if run != self.tag {
                     continue;
                 }
-                let Some(view) = neighbor_view(&self.neighbors, env.from, idx) else {
+                let Some(view) = self.slots.view(arena, ctx.neighbors(), env.from, idx) else {
                     continue;
                 };
-                let (network, height) = (view.network.0, view.height);
                 for &e in &view.edges {
-                    if let Some(slot) = self.residual.get_mut(&(network, e.0)) {
-                        *slot -= height;
+                    if let Some(slot) = edge_slot(&self.own_edges, view.network.0, e) {
+                        self.own_edges[slot].residual -= view.height;
                     }
                 }
             }
         }
-        for i in 0..self.own.len() {
+        let views = arena.of(self.me());
+        for (i, view) in views.iter().enumerate() {
             if !self.own[i].raised_at.contains(&step) {
                 continue;
             }
             // The tracker's `fits` test on the locally tracked residuals.
-            let view = &self.own[i].view;
+            let network = view.network.0;
             let fits = !self.demand_used
-                && view.edges.iter().all(|e| {
-                    self.residual[&(view.network.0, e.0)] + treenet_model::EPS >= view.height
+                && view.edges.iter().all(|&e| {
+                    self.own_edges[self.own_edge(network, e)].residual + treenet_model::EPS
+                        >= view.height
                 });
             if fits {
                 self.demand_used = true;
-                let id = self.own[i].id;
-                if !self.selected.contains(&id) {
-                    self.selected.push(id);
-                }
-                let network = view.network.0;
-                let height = view.height;
-                for &e in &self.own[i].view.edges {
-                    *self
-                        .residual
-                        .get_mut(&(network, e.0))
-                        .expect("own path edges are tracked") -= height;
+                self.selected = Some(self.own[i].id);
+                for &e in &view.edges {
+                    let k = self.own_edge(network, e);
+                    self.own_edges[k].residual -= view.height;
                 }
                 ctx.broadcast(DistMsg::Selected {
                     run: self.tag,
@@ -1063,23 +1238,20 @@ impl ProcessorNode {
     /// a demand enters the solution at most once) to the leader of its
     /// network; a self-led report is recorded directly.
     fn round_combine_report(&mut self, ctx: &mut Context<'_, DistMsg>) {
-        let Some(&d) = self.selected.first() else {
+        let Some(d) = self.selected else {
             return;
         };
-        let i = self
-            .own
-            .iter()
-            .position(|inst| inst.id == d)
-            .expect("selected instances are own instances");
-        let t = self.own[i].view.network.0;
-        let leader = self.leader_of(t);
+        let i = self.own_index(d);
+        let view = &self.own_views()[i];
+        let (t, profit) = (view.network.0, view.profit);
+        let leader = self.leader_of(t, ctx.neighbors());
         if leader == self.me() {
             self.contributions.push(Contribution {
                 network: t,
                 demand: self.me() as u32,
                 idx: i as u8,
                 run: self.tag,
-                profit: self.own[i].view.profit,
+                profit,
             });
         } else {
             ctx.send(
@@ -1104,7 +1276,10 @@ impl ProcessorNode {
     ) {
         for env in inbox {
             if let DistMsg::CombineReport { run, idx } = env.msg {
-                let Some(view) = neighbor_view(&self.neighbors, env.from, idx) else {
+                let Some(view) =
+                    self.slots
+                        .view(&self.public.arena, ctx.neighbors(), env.from, idx)
+                else {
                     continue;
                 };
                 self.contributions.push(Contribution {
@@ -1138,14 +1313,11 @@ impl ProcessorNode {
             let wide_wins = treenet_core::combine_decision(wide_profit, narrow_profit);
             self.choices.push((t, wide_wins));
             // Every accessor of t is a neighbor of its leader.
-            let mut accessors: Vec<usize> = self
-                .neighbors
-                .iter()
-                .filter(|(_, views)| views.iter().any(|v| v.network.0 == t))
-                .map(|(&node, _)| node)
-                .collect();
-            accessors.sort_unstable();
-            for node in accessors {
+            for k in 0..ctx.neighbors().len() {
+                let node = ctx.neighbors()[k];
+                if !self.accesses(k, node, t) {
+                    continue;
+                }
                 ctx.send(
                     node,
                     DistMsg::CombineChoice {
@@ -1188,20 +1360,22 @@ impl Protocol for ProcessorNode {
         // construction.
         for env in inbox {
             match &env.msg {
+                // The sender's views are the arena's entry for the
+                // descriptor's demand: readable from now on.
                 DistMsg::Descriptor(descriptor) => {
-                    let views = self.public.views(descriptor);
-                    self.neighbors.insert(env.from, views);
+                    if let Some(k) = slot_of(ctx.neighbors(), descriptor.id.index()) {
+                        self.slots.received[k] = true;
+                    }
                 }
                 DistMsg::Bfs { root, dist } => {
-                    let label = (*root, *dist);
-                    let slot = self.neighbor_bfs.entry(env.from).or_insert(label);
-                    if label < *slot {
-                        *slot = label;
-                    }
                     let candidate = (*root, dist + 1);
+                    let from = env.from as u32;
                     if candidate < self.bfs_label {
                         self.bfs_label = candidate;
+                        self.bfs_via = from;
                         self.bfs_changed = true;
+                    } else if candidate == self.bfs_label {
+                        self.bfs_via = self.bfs_via.min(from);
                     }
                 }
                 DistMsg::EchoUp {
@@ -1251,5 +1425,91 @@ impl Protocol for ProcessorNode {
 
     fn is_done(&self) -> bool {
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+    use treenet_model::workload::{LineWorkload, TreeWorkload};
+    use treenet_model::Problem;
+
+    use crate::{line_public, tree_public, DistConfig};
+
+    /// Every arena entry equals [`PublicInfo::views`] of its demand's
+    /// descriptor, field by field, and every node built over the arena
+    /// reads its own views and descriptor from the arena's entry.
+    fn assert_arena_is_spec(problem: &Problem, public: &Arc<PublicInfo>) {
+        let arena = &public.arena;
+        for a in problem.demands() {
+            let descriptor = arena.descriptor(a.index());
+            assert_eq!(descriptor.id, a);
+            assert_eq!(descriptor.demand, *problem.demand(a));
+            assert_eq!(descriptor.access, problem.access(a));
+            let spec = public.views(descriptor);
+            let memo = arena.of(a.index());
+            assert_eq!(memo.len(), spec.len(), "demand {a:?}");
+            assert_eq!(memo.len(), problem.instances_of(a).len(), "demand {a:?}");
+            for (m, s) in memo.iter().zip(&spec) {
+                assert_eq!(m.key, s.key);
+                assert_eq!(m.network, s.network);
+                assert_eq!(m.edges, s.edges);
+                assert_eq!(m.sorted_edges, s.sorted_edges);
+                assert_eq!(m.group, s.group);
+                assert_eq!(m.critical, s.critical);
+                assert_eq!(m.height.to_bits(), s.height.to_bits());
+                assert_eq!(m.profit.to_bits(), s.profit.to_bits());
+            }
+            let node = ProcessorNode::new(
+                Arc::clone(public),
+                a.index(),
+                problem.instances_of(a).to_vec(),
+                0,
+                RaiseRule::Unit,
+                RunTag::Primary,
+            );
+            assert!(std::ptr::eq(node.own_views(), memo), "demand {a:?}");
+            assert!(Arc::ptr_eq(&node.descriptor, descriptor), "demand {a:?}");
+        }
+    }
+
+    #[test]
+    fn tree_arena_matches_the_specification() {
+        let problem = TreeWorkload::new(10, 12)
+            .with_networks(3)
+            .with_profit_ratio(4.0)
+            .generate(&mut SmallRng::seed_from_u64(3));
+        let (public, _) = tree_public(&problem, &DistConfig::default());
+        assert_arena_is_spec(&problem, &public);
+    }
+
+    #[test]
+    fn line_arena_matches_the_specification() {
+        let problem = LineWorkload::new(30, 12)
+            .with_resources(2)
+            .with_len_range(1, 8)
+            .generate(&mut SmallRng::seed_from_u64(4));
+        let (public, _) = line_public(&problem, &DistConfig::default());
+        assert_arena_is_spec(&problem, &public);
+    }
+
+    #[test]
+    fn window_arena_matches_the_specification() {
+        let problem = LineWorkload::new(30, 12)
+            .with_resources(2)
+            .with_window_slack(4)
+            .with_len_range(1, 8)
+            .generate(&mut SmallRng::seed_from_u64(5));
+        assert!(
+            problem.demands().any(|a| problem.instances_of(a).len() > 2),
+            "some demand has several window starts"
+        );
+        let (public, _) = line_public(&problem, &DistConfig::default());
+        assert_arena_is_spec(&problem, &public);
+        // The tree layering over the same lines derives the same paths.
+        let (public, _) = tree_public(&problem, &DistConfig::default());
+        assert_arena_is_spec(&problem, &public);
     }
 }
